@@ -72,10 +72,13 @@ void BM_HjswyFullRun(benchmark::State& state) {
     algo::HjswyOptions options;
     options.T = 2;
     options.exact_census = true;
+    algo::SketchPool pool(static_cast<std::size_t>(n),
+                          algo::HjswyProgram::RequiredPoolColumns(options));
     util::Rng base(seed);
     std::vector<algo::HjswyProgram> nodes;
     for (graph::NodeId u = 0; u < n; ++u) {
-      nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)));
+      nodes.emplace_back(u, u, options,
+                         base.Fork(static_cast<std::uint64_t>(u)), pool);
     }
     net::EngineOptions opts;
     opts.validate_tinterval = true;  // certification is the shipped config
@@ -182,30 +185,24 @@ constexpr std::int64_t kPr4SendPlusDeliverNs = 28'000'000;
 constexpr std::int64_t kPr5SendPlusDeliverNs = 28'112'415;
 
 /// Headline rounds/sec of the identical serial workload recorded by PR 7's
-/// bench run (best of 3; BENCH_engine.json history). PR 8 (SoA sketch pool,
-/// arena outbox, per-shard delivery arms) gates >= 1.0x against it: the
-/// scale work must not regress the reference workload.
+/// bench run (best of 3; BENCH_engine.json history). speedup_vs_pr7 is a
+/// cross-run, cross-machine trend line: recorded, not gated.
 constexpr double kPr7RoundsPerSec = 2862.3;
 
 /// The fixed reference workload: one full hjswy run, N=1024, spine-gnp, T=2,
 /// probes off; T-interval validation ON by default (the recorded figures
 /// are certified runs — the certification A/B below measures what that
 /// costs). `threads` is EngineOptions::threads (1 = serial reference;
-/// results are bit-identical at every setting), `incremental` toggles the
-/// delta-driven topology path and `delivery` the Inbox backing policy
-/// (both A/B'd below — results are bit-identical there too). `overlaps`
-/// drives all three pipelining toggles (prefetch_topology,
-/// async_certification, fused_send_deliver) as one switch for the pipeline
-/// A/B; results are bit-identical either way (the determinism suite pins
-/// it). `collect_metrics`/`anomaly` drive the observability plane for the
-/// anomaly A/B (both arms carry the registry; only the anomaly engine
-/// differs) — bit-identical again, same pin.
+/// results are bit-identical at every setting). `overlaps` drives all three
+/// pipelining toggles (prefetch_topology, async_certification,
+/// fused_send_deliver) as one switch for the pipeline A/B; results are
+/// bit-identical either way (the determinism suite pins it).
+/// `collect_metrics`/`anomaly` drive the observability plane for the anomaly
+/// A/B (both arms carry the registry; only the anomaly engine differs) —
+/// bit-identical again, same pin.
 net::RunStats TimedReferenceRun(
-    int threads, bool incremental = true,
-    net::DeliveryMode delivery = net::DeliveryMode::kAdaptive,
-    obs::FlightRecorder* recorder = nullptr, bool validate = true,
-    bool pooled = true, bool overlaps = true, bool collect_metrics = false,
-    bool anomaly = false,
+    int threads, obs::FlightRecorder* recorder = nullptr, bool validate = true,
+    bool overlaps = true, bool collect_metrics = false, bool anomaly = false,
     const obs::AnomalyOptions* anomaly_options = nullptr) {
   const graph::NodeId n = 1024;
   adversary::AdversaryConfig config;
@@ -217,21 +214,19 @@ net::RunStats TimedReferenceRun(
   algo::HjswyOptions options;
   options.T = 2;
   // The pool outlives the engine (declared first): programs hold raw
-  // pointers into it. `pooled` false is the per-node A/B arm.
+  // pointers into it.
   algo::SketchPool pool(static_cast<std::size_t>(n),
                         algo::HjswyProgram::RequiredPoolColumns(options));
   util::Rng base(42);
   std::vector<algo::HjswyProgram> nodes;
   for (graph::NodeId u = 0; u < n; ++u) {
     nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)),
-                       pooled ? &pool : nullptr);
+                       pool);
   }
   net::EngineOptions opts;
   opts.validate_tinterval = validate;
   opts.flood_probes = 0;
   opts.threads = threads;
-  opts.incremental_topology = incremental;
-  opts.delivery = delivery;
   opts.recorder = recorder;
   opts.prefetch_topology = overlaps;
   opts.async_certification = overlaps;
@@ -251,12 +246,12 @@ struct RepSet {
   double median_rps = 0.0;
 };
 
-RepSet MeasuredRuns(int threads, bool incremental = true, int reps = 3) {
+RepSet MeasuredRuns(int threads, int reps = 3) {
   RepSet out;
   double best_rps = -1.0;
   std::vector<double> rps_all;
   for (int rep = 0; rep < reps; ++rep) {
-    const net::RunStats stats = TimedReferenceRun(threads, incremental);
+    const net::RunStats stats = TimedReferenceRun(threads);
     const double rps = stats.timings.RoundsPerSec(stats.rounds);
     rps_all.push_back(rps);
     if (rps > best_rps) {
@@ -273,8 +268,8 @@ RepSet MeasuredRuns(int threads, bool incremental = true, int reps = 3) {
 }
 
 /// Best-of-`reps` by rounds/sec at a fixed thread count.
-net::RunStats BestRun(int threads, bool incremental = true, int reps = 3) {
-  return MeasuredRuns(threads, incremental, reps).best;
+net::RunStats BestRun(int threads, int reps = 3) {
+  return MeasuredRuns(threads, reps).best;
 }
 
 using StatFn = std::function<std::int64_t(const net::RunStats&)>;
@@ -334,53 +329,9 @@ void ReportEngineTimings() {
               kBaselineRoundsPerSec, best_rps / kBaselineRoundsPerSec,
               reference.median_rps);
 
-  const StatFn topology_ns = [](const net::RunStats& s) {
-    return s.timings.topology_ns;
-  };
   const StatFn message_path_ns = [](const net::RunStats& s) {
     return std::max<std::int64_t>(1, s.timings.send_ns + s.timings.deliver_ns);
   };
-
-  // Topology A/B: the identical serial workload on the legacy from-scratch
-  // path vs the churn-adaptive incremental path (every other phase
-  // untouched, so topology_ns is the whole difference; RunStats agree bit
-  // for bit). Interleaved pairs, compared by medians — see PairedAB.
-  const ABResult topo = PairedAB(
-      [] { return TimedReferenceRun(/*threads=*/1, /*incremental=*/false); },
-      [] { return TimedReferenceRun(/*threads=*/1, /*incremental=*/true); },
-      topology_ns);
-  std::printf(
-      "topology A/B (serial, paired medians): scratch=%lld ns  "
-      "incremental=%lld ns  speedup=%.2fx\n",
-      static_cast<long long>(topo.a.timings.topology_ns),
-      static_cast<long long>(topo.b.timings.topology_ns), topo.speedup);
-
-  // Message-path A/B: the identical serial workload forced onto the legacy
-  // per-receiver pointer gather vs the measured adaptive backing the engine
-  // ships with (RunStats agree bit for bit; send+deliver is the whole
-  // difference). Interleaved pairs, compared by medians. The vs-PR3 figure
-  // tracks the combined send+deliver trend against PR 3's recorded message
-  // path (gather delivery, per-coordinate merges, per-call Locate scans).
-  const ABResult msg = PairedAB(
-      [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kGather);
-      },
-      [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive);
-      },
-      message_path_ns);
-  const double message_path_speedup = msg.speedup;
-  const double message_path_speedup_vs_pr3 =
-      static_cast<double>(kPr3SendNs + kPr3DeliverNs) /
-      static_cast<double>(message_path_ns(msg.b));
-  std::printf(
-      "message path A/B (serial, paired medians): gather send+deliver=%lld ns"
-      "  adaptive send+deliver=%lld ns  speedup=%.2fx  vs PR3 recorded=%.2fx\n",
-      static_cast<long long>(message_path_ns(msg.a)),
-      static_cast<long long>(message_path_ns(msg.b)), message_path_speedup,
-      message_path_speedup_vs_pr3);
 
   // Tracing overhead A/B: the identical serial workload with and without a
   // flight recorder attached, both sides best-of-3 *by send+deliver* (the
@@ -397,9 +348,7 @@ void ReportEngineTimings() {
   net::RunStats traced;
   for (int rep = 0; rep < 3; ++rep) {
     auto rec = std::make_unique<obs::FlightRecorder>();
-    const net::RunStats s =
-        TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                          net::DeliveryMode::kAdaptive, rec.get());
+    const net::RunStats s = TimedReferenceRun(/*threads=*/1, rec.get());
     if (traced_rec == nullptr || message_path_ns(s) < message_path_ns(traced)) {
       traced = s;
       traced_rec = std::move(rec);
@@ -408,6 +357,11 @@ void ReportEngineTimings() {
   const std::int64_t traced_sd_ns = message_path_ns(traced);
   const double trace_overhead_ratio =
       static_cast<double>(traced_sd_ns) / static_cast<double>(untraced_sd_ns);
+  // The recorded send+deliver trend lines (kPr3*/kPr4*/kPr5*) compare
+  // against the best untraced default reference run.
+  const double message_path_speedup_vs_pr3 =
+      static_cast<double>(kPr3SendNs + kPr3DeliverNs) /
+      static_cast<double>(untraced_sd_ns);
   const double message_path_speedup_vs_pr4 =
       static_cast<double>(kPr4SendPlusDeliverNs) /
       static_cast<double>(untraced_sd_ns);
@@ -416,33 +370,29 @@ void ReportEngineTimings() {
       static_cast<double>(untraced_sd_ns);
   std::printf(
       "tracing A/B (serial): untraced send+deliver=%lld ns  "
-      "traced=%lld ns  overhead=%.2fx  vs PR4 recorded=%.2fx  "
-      "vs PR5 recorded=%.2fx\n",
+      "traced=%lld ns  overhead=%.2fx  vs recorded pr3/pr4/pr5="
+      "%.2fx/%.2fx/%.2fx\n",
       static_cast<long long>(untraced_sd_ns),
       static_cast<long long>(traced_sd_ns), trace_overhead_ratio,
-      message_path_speedup_vs_pr4, message_path_speedup_vs_pr5);
+      message_path_speedup_vs_pr3, message_path_speedup_vs_pr4,
+      message_path_speedup_vs_pr5);
 
   // Certification A/B: the identical serial workload with the streaming
-  // T-interval checker off vs on (everything else fixed: incremental,
-  // adaptive delivery, no recorder). The validated arm rides the
-  // adversary's composition claim — spine witnesses certify windows, no
-  // per-round delta — so the whole-run overhead is the honest price of
-  // always-on certification. Interleaved pairs, compared by medians of
-  // total_ns (the checker touches topology and validate phases, so the
-  // gated statistic is the whole step). CI gates the ratio.
+  // T-interval checker off vs on (everything else fixed, no recorder). The
+  // validated arm rides the adversary's composition claim — spine witnesses
+  // certify windows, no per-round delta — so the whole-run overhead is the
+  // honest price of always-on certification. Interleaved pairs, compared
+  // by medians of total_ns (the checker touches topology and validate
+  // phases, so the gated statistic is the whole step). CI gates the ratio.
   const StatFn run_total_ns = [](const net::RunStats& s) {
     return std::max<std::int64_t>(1, s.timings.total_ns);
   };
   const ABResult cert = PairedAB(
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/false);
+        return TimedReferenceRun(/*threads=*/1, nullptr, /*validate=*/false);
       },
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true);
+        return TimedReferenceRun(/*threads=*/1, nullptr, /*validate=*/true);
       },
       run_total_ns);
   const std::int64_t unvalidated_total_ns = run_total_ns(cert.a);
@@ -471,34 +421,10 @@ void ReportEngineTimings() {
       static_cast<long long>(validated_total_ns), checker_ab_ratio,
       checker_overhead_ratio, static_cast<long long>(cert.b.certified_T));
 
-  // Sketch-pool A/B: the identical serial workload on the per-node sketch
-  // layout (each estimator owns a std::vector<double>) vs the shared SoA
-  // float32 pool the engine ships with (RunStats agree bit for bit — the
-  // pin suite enforces it). Interleaved pairs, compared by medians of
-  // total_ns: the layout touches send, deliver and program-state locality,
-  // so the whole step is the honest statistic. The vs-PR7 figure is the
-  // regression gate for the scale work: this process's headline rounds/sec
-  // (pooled, best of 3) against PR 7's recorded 2862.3.
-  const ABResult pool_ab = PairedAB(
-      [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/false);
-      },
-      [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true);
-      },
-      run_total_ns);
-  const double sketch_pool_speedup = pool_ab.speedup;
+  // Cross-run trend line: this process's headline rounds/sec (best of 3)
+  // against the recorded kPr7RoundsPerSec. Printed and recorded, not gated.
   const double speedup_vs_pr7 = best_rps / kPr7RoundsPerSec;
-  std::printf(
-      "sketch pool A/B (serial, paired medians): per-node total=%lld ns  "
-      "pooled total=%lld ns  speedup=%.2fx  headline vs PR7 recorded=%.2fx\n",
-      static_cast<long long>(run_total_ns(pool_ab.a)),
-      static_cast<long long>(run_total_ns(pool_ab.b)), sketch_pool_speedup,
-      speedup_vs_pr7);
+  std::printf("headline vs recorded pr7=%.2fx\n", speedup_vs_pr7);
 
   obs::RunManifest manifest = obs::RunManifest::Collect();
   manifest.Set("experiment", "a9_micro");
@@ -581,15 +507,11 @@ void ReportEngineTimings() {
   const bool pipeline_oversubscribed = pipeline_threads > hw;
   const ABResult pipe = PairedAB(
       [] {
-        return TimedReferenceRun(/*threads=*/2, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true,
+        return TimedReferenceRun(/*threads=*/2, nullptr, /*validate=*/true,
                                  /*overlaps=*/false);
       },
       [] {
-        return TimedReferenceRun(/*threads=*/2, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true,
+        return TimedReferenceRun(/*threads=*/2, nullptr, /*validate=*/true,
                                  /*overlaps=*/true);
       },
       run_total_ns);
@@ -618,16 +540,12 @@ void ReportEngineTimings() {
   // < 1.05 — same pattern as trace_overhead_ratio.
   const ABResult anom = PairedAB(
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true,
+        return TimedReferenceRun(/*threads=*/1, nullptr, /*validate=*/true,
                                  /*overlaps=*/true, /*collect_metrics=*/true,
                                  /*anomaly=*/false);
       },
       [] {
-        return TimedReferenceRun(/*threads=*/1, /*incremental=*/true,
-                                 net::DeliveryMode::kAdaptive, nullptr,
-                                 /*validate=*/true, /*pooled=*/true,
+        return TimedReferenceRun(/*threads=*/1, nullptr, /*validate=*/true,
                                  /*overlaps=*/true, /*collect_metrics=*/true,
                                  /*anomaly=*/true);
       },
@@ -675,14 +593,6 @@ void ReportEngineTimings() {
                "  \"timings_ns\": {\"topology\": %lld, \"validate\": %lld, "
                "\"probe\": %lld, \"send\": %lld, \"deliver\": %lld, "
                "\"other\": %lld, \"total\": %lld},\n"
-               "  \"topology_scratch_ns\": %lld,\n"
-               "  \"topology_incremental_ns\": %lld,\n"
-               "  \"topology_speedup\": %.2f,\n"
-               "  \"send_gather_ns\": %lld,\n"
-               "  \"send_adaptive_ns\": %lld,\n"
-               "  \"deliver_gather_ns\": %lld,\n"
-               "  \"deliver_adaptive_ns\": %lld,\n"
-               "  \"message_path_speedup\": %.2f,\n"
                "  \"pr3_send_plus_deliver_ns\": %lld,\n"
                "  \"message_path_speedup_vs_pr3\": %.2f,\n"
                "  \"pr4_send_plus_deliver_ns\": %lld,\n"
@@ -698,9 +608,6 @@ void ReportEngineTimings() {
                "  \"validated_total_ns\": %lld,\n"
                "  \"checker_ab_ratio\": %.3f,\n"
                "  \"checker_overhead_ratio\": %.3f,\n"
-               "  \"per_node_sketch_total_ns\": %lld,\n"
-               "  \"pooled_sketch_total_ns\": %lld,\n"
-               "  \"sketch_pool_speedup\": %.3f,\n"
                "  \"pr7_rounds_per_sec\": %.1f,\n"
                "  \"speedup_vs_pr7\": %.3f,\n"
                "  \"pipeline_threads\": %d,\n"
@@ -728,14 +635,6 @@ void ReportEngineTimings() {
                static_cast<long long>(best.timings.deliver_ns),
                static_cast<long long>(best.timings.other_ns),
                static_cast<long long>(best.timings.total_ns),
-               static_cast<long long>(topo.a.timings.topology_ns),
-               static_cast<long long>(topo.b.timings.topology_ns),
-               topo.speedup,
-               static_cast<long long>(msg.a.timings.send_ns),
-               static_cast<long long>(msg.b.timings.send_ns),
-               static_cast<long long>(msg.a.timings.deliver_ns),
-               static_cast<long long>(msg.b.timings.deliver_ns),
-               message_path_speedup,
                static_cast<long long>(kPr3SendNs + kPr3DeliverNs),
                message_path_speedup_vs_pr3,
                static_cast<long long>(kPr4SendPlusDeliverNs),
@@ -749,9 +648,7 @@ void ReportEngineTimings() {
                static_cast<long long>(unvalidated_total_ns),
                static_cast<long long>(validated_total_ns),
                checker_ab_ratio, checker_overhead_ratio,
-               static_cast<long long>(run_total_ns(pool_ab.a)),
-               static_cast<long long>(run_total_ns(pool_ab.b)),
-               sketch_pool_speedup, kPr7RoundsPerSec, speedup_vs_pr7,
+               kPr7RoundsPerSec, speedup_vs_pr7,
                pipeline_threads, pipeline_oversubscribed ? "true" : "false",
                static_cast<long long>(pipeline_off_total_ns),
                static_cast<long long>(pipeline_on_total_ns), pipeline_speedup,
@@ -820,8 +717,7 @@ int FaultSmoke(const std::string& dump_dir) {
   // fire the drop-onset rule and break the exactly-one assertion.
   obs::FlightRecorder recorder(/*lanes=*/1, /*lane_capacity=*/1 << 20);
   const net::RunStats stats = TimedReferenceRun(
-      /*threads=*/1, /*incremental=*/true, net::DeliveryMode::kAdaptive,
-      &recorder, /*validate=*/true, /*pooled=*/true, /*overlaps=*/true,
+      /*threads=*/1, &recorder, /*validate=*/true, /*overlaps=*/true,
       /*collect_metrics=*/true, /*anomaly=*/true, &aopts);
 
   std::printf("fault smoke: %zu anomaly record(s)\n", stats.anomalies.size());

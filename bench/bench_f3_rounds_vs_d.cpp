@@ -38,11 +38,13 @@ Point MeasureCliques(graph::NodeId cliques, graph::NodeId clique_size, int T,
     algo::HjswyOptions options;
     options.T = T;
     options.exact_census = true;
+    algo::SketchPool pool(static_cast<std::size_t>(n),
+                          algo::HjswyProgram::RequiredPoolColumns(options));
     util::Rng base(static_cast<std::uint64_t>(trial) * 977);
     std::vector<algo::HjswyProgram> nodes;
     for (graph::NodeId u = 0; u < n; ++u) {
       nodes.emplace_back(u, static_cast<algo::Value>(u), options,
-                         base.Fork(static_cast<std::uint64_t>(u)));
+                         base.Fork(static_cast<std::uint64_t>(u)), pool);
     }
     net::EngineOptions opts;
     opts.validate_tinterval = true;  // certification is the shipped config
@@ -120,11 +122,13 @@ int Main(int argc, char** argv) {
     algo::HjswyOptions options;
     options.T = T;
     options.exact_census = true;
+    algo::SketchPool pool(static_cast<std::size_t>(cliques * size),
+                          algo::HjswyProgram::RequiredPoolColumns(options));
     util::Rng base(977);
     std::vector<algo::HjswyProgram> nodes;
     for (graph::NodeId u = 0; u < cliques * size; ++u) {
       nodes.emplace_back(u, static_cast<algo::Value>(u), options,
-                         base.Fork(static_cast<std::uint64_t>(u)));
+                         base.Fork(static_cast<std::uint64_t>(u)), pool);
     }
     net::EngineOptions opts;
     opts.validate_tinterval = true;

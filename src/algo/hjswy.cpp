@@ -29,15 +29,11 @@ double BitsToDouble(std::uint32_t bits) {
 }  // namespace
 
 HjswyProgram::HjswyProgram(NodeId id, Value input, HjswyOptions options,
-                           util::Rng rng, SketchPool* pool)
+                           util::Rng rng, SketchPool& pool)
     : options_(options),
       id_(id),
-      sketch_(pool != nullptr
-                  ? CardinalityEstimator(options.sketch_len, rng, pool,
-                                         static_cast<std::size_t>(id),
-                                         /*col_base=*/0)
-                  : CardinalityEstimator(options.sketch_len, rng,
-                                         /*quantize_float32=*/true)),
+      sketch_(options.sketch_len, rng, &pool, static_cast<std::size_t>(id),
+              /*col_base=*/0),
       agg_min_id_(id),
       agg_min_value_(input),
       agg_max_value_(input) {
@@ -55,14 +51,9 @@ HjswyProgram::HjswyProgram(NodeId id, Value input, HjswyOptions options,
   if (options_.track_sum) {
     const auto weight =
         input > 0 ? static_cast<std::uint64_t>(input) : std::uint64_t{0};
-    sum_sketch_ =
-        pool != nullptr
-            ? CardinalityEstimator::ForWeight(
-                  weight, options_.sketch_len, rng, pool,
-                  static_cast<std::size_t>(id),
-                  /*col_base=*/options_.sketch_len)
-            : CardinalityEstimator::ForWeight(weight, options_.sketch_len, rng,
-                                              /*quantize_float32=*/true);
+    sum_sketch_ = CardinalityEstimator::ForWeight(
+        weight, options_.sketch_len, rng, &pool, static_cast<std::size_t>(id),
+        /*col_base=*/options_.sketch_len);
   }
 }
 
@@ -287,9 +278,8 @@ void HjswyProgram::OnReceive(Round r, Inbox<Message> inbox) {
     const auto len = static_cast<std::size_t>(std::min<std::int32_t>(
         block_len, static_cast<std::int32_t>(sketch_.size()) - block_base));
     const auto base = static_cast<std::size_t>(block_base);
-    // The reduced block stays in the wire's float32 bit domain: the
-    // estimator merges it bits-native in the pooled layout and decodes to
-    // double for the owned kernel path — identical outcomes either way.
+    // The reduced block stays in the wire's float32 bit domain: the pooled
+    // estimator merges it bits-native.
     if (sketch_.MergeBlockBits(base, block_bits.data(), len)) {
       changed = true;
       ++obs_phase_.work;

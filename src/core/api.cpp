@@ -187,8 +187,6 @@ class TypedSim final : public detail::SimBase {
     opts.probe_seed = util::MixSeed(config_.seed, 0x9e0be5ULL);
     opts.validate_tinterval = config_.validate_tinterval;
     opts.fail_fast_on_tinterval = config_.fail_fast_on_tinterval;
-    opts.incremental_topology = config_.incremental_topology;
-    opts.delivery = config_.delivery;
     opts.threads = config_.threads;
     opts.prefetch_topology = config_.prefetch_topology;
     opts.async_certification = config_.async_certification;
@@ -326,26 +324,21 @@ std::unique_ptr<SimBase> MakeSim(Algorithm algorithm,
       hjswy.exact_census = (algorithm == Algorithm::kHjswyCensus);
       hjswy.strict = (algorithm == Algorithm::kHjswyStrict);
       util::Rng base(util::MixSeed(config.seed, 0xb0b5ULL));
-      // SoA sketch backing (default): one float32 pool shared by all nodes,
-      // owned by the sim via the context handle. The rng draw sequence and
-      // merge semantics are identical to the per-node layout (pinned by
-      // test_sketch_pool), so this is purely a memory-layout choice.
-      std::shared_ptr<algo::SketchPool> pool;
-      if (config.pooled_sketches) {
-        pool = std::make_shared<algo::SketchPool>(
-            static_cast<std::size_t>(config.n),
-            algo::HjswyProgram::RequiredPoolColumns(hjswy));
-        if (config.memory_budget != nullptr) {
-          config.memory_budget->Get("sketch_pool")
-              ->SetCurrent(static_cast<std::int64_t>(pool->bytes()));
-        }
+      // One structure-of-arrays float32 sketch pool shared by all nodes,
+      // owned by the sim via the context handle.
+      const auto pool = std::make_shared<algo::SketchPool>(
+          static_cast<std::size_t>(config.n),
+          algo::HjswyProgram::RequiredPoolColumns(hjswy));
+      if (config.memory_budget != nullptr) {
+        config.memory_budget->Get("sketch_pool")
+            ->SetCurrent(static_cast<std::int64_t>(pool->bytes()));
       }
       return std::make_unique<TypedSim<algo::HjswyProgram>>(
           config, algo::HjswyProgram::InfoFor(hjswy),
           [hjswy, &base, &pool](graph::NodeId u, algo::Value input) {
             return algo::HjswyProgram(u, input, hjswy,
                                       base.Fork(static_cast<std::uint64_t>(u)),
-                                      pool.get());
+                                      *pool);
           },
           [hjswy](const algo::HjswyProgram& node) {
             NodeAnswers a;

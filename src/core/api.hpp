@@ -16,7 +16,6 @@
 #include "algo/census.hpp"
 #include "algo/common.hpp"
 #include "algo/hjswy.hpp"
-#include "net/backing.hpp"
 #include "net/bandwidth.hpp"
 #include "net/metrics.hpp"
 #include "obs/anomaly.hpp"
@@ -74,15 +73,6 @@ struct RunConfig {
   /// CheckError with the violating window, same shape as a bandwidth
   /// violation.
   bool fail_fast_on_tinterval = false;
-  /// Delta-driven topology (EngineOptions::incremental_topology): the
-  /// adversary emits round-over-round deltas into one in-place DynGraph.
-  /// Bit-identical results either way; off = legacy from-scratch path.
-  bool incremental_topology = true;
-  /// Inbox backing policy for all-sender rounds (net::DeliveryMode):
-  /// kAdaptive (default) picks dense CSR indexing vs the pointer gather
-  /// per round from measured cost with hysteresis; kDense / kGather force
-  /// one arm for A/B runs. Bit-identical results in every mode.
-  net::DeliveryMode delivery = net::DeliveryMode::kAdaptive;
   /// Engine-internal parallelism (EngineOptions::threads): 0 = hardware,
   /// 1 = strictly serial, k = up to k lanes. Results are bit-identical at
   /// any setting; RunTrials additionally budgets this against its outer
@@ -117,12 +107,6 @@ struct RunConfig {
   bool anomaly = true;
   /// Rule thresholds / windows / dump policy (obs::AnomalyOptions).
   obs::AnomalyOptions anomaly_options{};
-  /// Back the hjswy sketches with the shared structure-of-arrays float32
-  /// pool (algo::SketchPool) instead of per-node vectors. Bit-identical
-  /// results either way (the pin suite enforces RunStats equality); off is
-  /// a pure A/B knob for the per-node layout. Ignored by non-sketch
-  /// algorithms.
-  bool pooled_sketches = true;
   /// Byte-accounting sink shared by the engine and the run's caller-side
   /// subsystems (sketch pool). Null = the engine's internal budget is used
   /// and RunStats::memory still reports the engine subsystems. Must

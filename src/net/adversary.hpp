@@ -52,11 +52,12 @@ class Adversary {
   /// exactly that, so every adversary supports the delta-driven engine
   /// unchanged. Adversaries whose rounds share structure (spines, static or
   /// replayed graphs) override this to emit the delta directly, skipping
-  /// the per-round Graph materialization entirely. Within one run the
-  /// engine uses either DeltaFor or TopologyFor exclusively, with strictly
-  /// sequential rounds 1, 2, 3, ... — overrides may rely on that (and must
-  /// consume the same RNG stream as TopologyFor so the two modes produce
-  /// bit-identical sequences).
+  /// the per-round Graph materialization entirely. The engine never calls
+  /// TopologyFor (it is the from-scratch reference the tests compare
+  /// against); it calls DeltaFor or RoundEdgesInto with strictly sequential
+  /// rounds 1, 2, 3, ... — overrides may rely on that (and must consume the
+  /// same RNG stream as TopologyFor so every path produces bit-identical
+  /// sequences).
   virtual void DeltaFor(std::int64_t round, const AdversaryView& view,
                         const graph::Graph& prev, graph::TopologyDelta& out);
 

@@ -21,32 +21,35 @@
 // lives outside the message, so the gather never touches message cache
 // lines). Programs satisfying DirectSendProgram compose their message in
 // place in the outbox slot; others go through OnSend's optional-return path
-// with one move into the slot. On rounds where every node sent, each
-// receiver's Inbox can be the topology's own CSR neighbor-id span indexing
-// the outbox directly — no per-receiver gather at all; rounds with silent
-// nodes use the sparse path, an Inbox of pointers gathered from the flagged
-// slots. Which backing an all-sent round actually uses is decided by
-// EngineOptions::delivery: kAdaptive (default) runs an ArmSelector
-// (net/backing.hpp) on measured per-message deliver cost with hysteresis,
-// so dense indexing is only chosen while it measures cheaper; kDense and
-// kGather force one arm for A/B runs. Both paths software-prefetch each
-// receiver's message cache lines ahead of its OnReceive (the outbox reads
-// are data-dependent scatters the hardware prefetcher cannot predict).
-// Results are bit-identical across backings (pinned by tests); every phase
-// of Step() is wall-clocked into RunStats::timings.
+// with one move into the slot. The inbox backing is a pure function of the
+// send flags: on rounds where every node sent, each receiver's Inbox is the
+// topology's own CSR neighbor-id span indexing the outbox directly (dense —
+// no per-receiver gather at all); rounds with silent nodes gather pointers
+// to the flagged slots, because dense indexing would expose dead slots.
+// Both paths software-prefetch each receiver's message cache lines ahead of
+// its OnReceive (the outbox reads are data-dependent scatters the hardware
+// prefetcher cannot predict). Every phase of Step() is wall-clocked into
+// RunStats::timings.
 //
-// Topology is delta-driven by default (EngineOptions::incremental_topology):
-// the engine asks the adversary for the round-over-round TopologyDelta and
-// applies it to one in-place DynGraph instead of materializing a fresh Graph
-// per round; the streaming T-interval checker consumes the same delta. When
-// per-round churn (EWMA of |delta| / |E|, hysteresis band below) is high
-// enough that patching loses to rebuilding, the engine flips to the
-// direct-assignment path — RoundEdgesInto straight into the DynGraph's edit
-// buffer — and derives the delta consumers still need with one DiffSorted;
-// a checker or trace recorder therefore sees every round's delta on either
-// sub-path (asserted). The produced topology sequence, and therefore
-// RunStats, is bit-identical to the from-scratch path (the DeltaFor
-// contract in net/adversary.hpp), which stays available for A/B testing.
+// Topology is delta-driven: the engine asks the adversary for the
+// round-over-round TopologyDelta and applies it to one in-place DynGraph
+// instead of materializing a fresh Graph per round; the streaming
+// T-interval checker consumes the same delta. When per-round churn (EWMA of
+// |delta| / |E|, hysteresis band below) is high enough that patching loses
+// to rebuilding, the engine flips to the direct-assignment path —
+// RoundEdgesInto straight into the DynGraph's edit buffer — and derives the
+// delta consumers still need with one DiffSorted; a checker or trace
+// recorder therefore sees every round's delta on either sub-path
+// (asserted). The produced topology sequence equals what
+// Adversary::TopologyFor builds from scratch (the DeltaFor contract in
+// net/adversary.hpp), which the tests use as the reference.
+//
+// Certification picks its checker input automatically: an adversary that
+// publishes Composition() claims is certified by witness identity (no delta
+// materialized), unless a flight recorder or trace recorder is attached —
+// those read the delta-driven checker's state or need deltas anyway. Both
+// inputs yield the same verdicts (the tests compare the witness path with a
+// PushDelta replay of the same adversary).
 //
 // Parallel execution (EngineOptions::threads): the send and deliver phases
 // are embarrassingly parallel over nodes — OnSend(u) touches only node u and
@@ -97,7 +100,6 @@
 #include "graph/delta.hpp"
 #include "graph/tinterval.hpp"
 #include "net/adversary.hpp"
-#include "net/backing.hpp"
 #include "net/bandwidth.hpp"
 #include "net/metrics.hpp"
 #include "net/program.hpp"
@@ -125,15 +127,6 @@ struct EngineOptions {
   /// bandwidth violation. Off by default: the checker keeps streaming and
   /// the verdict lands in RunStats at the end.
   bool fail_fast_on_tinterval = false;
-  /// Let the checker use the adversary's Composition() certification fast
-  /// path when available (no per-round delta materialized; windows are
-  /// certified by pinned-set witnesses). Forced off automatically whenever
-  /// something needs the delta-driven checker instead: a flight recorder
-  /// (whose kCheckerWindow track reads stable_edge_count), a trace
-  /// recorder (deltas exist anyway), or from-scratch topology mode. Off is
-  /// a pure A/B knob — both paths produce identical verdicts (tests pin
-  /// it).
-  bool tinterval_composition = true;
   /// Number of concurrent flooding probes (node 0 plus random sources) used
   /// to measure d alongside the run. 0 disables measurement. Probe start
   /// rounds are staggered: when a probe completes at round c, its slot
@@ -149,15 +142,6 @@ struct EngineOptions {
   /// RunStats::timings, which measure wall clock, differ), so this is a
   /// pure throughput knob. Small n runs serial regardless (sharding floor).
   int threads = 0;
-  /// Drive the topology through the adversary's DeltaFor fast path into one
-  /// in-place DynGraph instead of building a Graph from scratch every round.
-  /// Results are bit-identical either way (the DeltaFor contract; tests pin
-  /// it) — off gives the legacy from-scratch path for A/B comparison.
-  bool incremental_topology = true;
-  /// Inbox backing policy for all-sent rounds (see DeliveryMode). Results
-  /// are bit-identical across modes (tests pin it) — only wall clock
-  /// differs, so forcing an arm is a pure A/B knob.
-  DeliveryMode delivery = DeliveryMode::kAdaptive;
   /// Overlap the next round's topology construction with this round's
   /// deliver phase on a persistent auxiliary lane. Engages only when the
   /// adversary is oblivious, threads > 1 and n clears the sharding floor;
@@ -171,10 +155,10 @@ struct EngineOptions {
   /// the topology may mutate freely; stats() is the deterministic
   /// rendezvous — it drains the lane before reading any verdict, and a
   /// checker error (e.g. a lying composition) surfaces there instead of
-  /// mid-Step. Engages only when threads > 1 in incremental mode with no
-  /// flight recorder (its per-round checker track needs synchronous state)
-  /// and without fail_fast_on_tinterval (fail-fast keeps the synchronous
-  /// checker so the abort round matches the serial engine exactly).
+  /// mid-Step. Engages only when threads > 1 with no flight recorder (its
+  /// per-round checker track needs synchronous state) and without
+  /// fail_fast_on_tinterval (fail-fast keeps the synchronous checker so the
+  /// abort round matches the serial engine exactly).
   /// RunStats is bit-identical on or off.
   bool async_certification = true;
   /// Fuse the send phase into the previous round's deliver pass:
@@ -188,9 +172,6 @@ struct EngineOptions {
   /// DirectSendProgram algorithms under oblivious adversaries (adaptive
   /// ones sample PublicState between deliver r and send r+1).
   bool fused_send_deliver = true;
-  /// When set, every round's topology is appended here (replay/debugging)
-  /// at the cost of exactly one Graph copy per round.
-  std::vector<graph::Graph>* record_topologies = nullptr;
   /// When set, every round's topology is streamed into this delta-encoded
   /// v2 trace writer (net/trace.hpp) — recording without retaining the
   /// graph sequence in memory. Must outlive the engine; the engine does not
@@ -224,9 +205,8 @@ struct EngineOptions {
   /// an internal budget, so RunStats::memory is populated either way; pass
   /// one to aggregate engine charges with caller-side subsystems (sketch
   /// pool, trace stream) under a single budget. Must outlive the engine.
-  /// Only size-deterministic subsystems are charged — timing-dependent
-  /// scratch (adaptive gather buffers) is excluded so RunStats stays
-  /// bit-identical across thread counts and delivery backings.
+  /// Only size-deterministic subsystems are charged; the per-shard gather
+  /// scratch is not.
   util::MemoryBudget* memory_budget = nullptr;
 };
 
@@ -277,91 +257,49 @@ class Engine final : private AdversaryView {
     aux_wait_ns_round_ = 0;
 
     const auto t0 = Clock::now();
-    bool has_delta = false;  // delta_ holds this round's delta
-    if (incremental_) {
-      // One topology call per round, in round order — either the prefetch
-      // launched by the previous Step (join before mutating round_ or topo_,
-      // both of which the in-flight call reads) or a synchronous call here.
-      // Both schedules present the adversary the identical call sequence.
-      // Per round one of two sub-paths runs, chosen by WantDirectTopology():
-      // RoundEdgesInto straight into the DynGraph's edit buffer — with one
-      // engine-side DiffSorted when a checker/trace consumes deltas — or
-      // DeltaFor + Apply. The choice only moves work between equivalent
-      // code paths; the produced graph (and every consumed delta) is
-      // identical either way.
-      bool assigned = false;
-      if (prefetch_pending_) {
-        // Join the lane task launched by the previous Step (it wrote
-        // prefetch_slot_ and possibly topo_'s edit buffer); Drain rethrows
-        // any adversary error and orders its writes before our reads.
-        DrainTopoLane();
-        prefetch_pending_ = false;
-        stats_.timings.aux_topology_ns += prefetch_ns_;
-        PrefetchedTopology& pf = prefetch_slot_;
-        round_ = prefetched_round_;
-        if (pf.tried_direct && !pf.assigned) topo_direct_supported_ = false;
-        assigned = pf.assigned;
-        has_delta = pf.has_delta;
-        delta_ = std::move(pf.delta);
-      } else {
-        ++round_;
-        if (WantDirectTopology()) {
-          assigned =
-              adversary_.RoundEdgesInto(round_, *this, topo_.EditBuffer());
-          if (!assigned) {
-            topo_direct_supported_ = false;
-          } else if (need_delta_) {
-            graph::DiffSorted(topo_.View().Edges(), topo_.EditBuffer(),
-                              delta_);
-            has_delta = true;
-          }
-        }
-        if (!assigned) {
-          adversary_.DeltaFor(round_, *this, topo_.View(), delta_);
-          has_delta = true;
-        }
-      }
-      if (assigned) {
-        topo_.CommitEdges();
-        ++topo_direct_rounds_;
-      } else {
-        topo_.Apply(delta_);  // CheckError on a contract-violating delta
-        ++topo_delta_rounds_;
-      }
-      // Whatever sub-path ran, every delta consumer must have a delta for
-      // every round — the PR 6 regression was exactly this gate silently
-      // starving consumers when the fast path was picked.
-      SDN_CHECK(!need_delta_ || has_delta);
-      UpdateTopologyChurn(has_delta);
-      if (options_.record_topologies != nullptr) {
-        options_.record_topologies->push_back(topo_.View());
-      }
-      if (options_.record_trace != nullptr) {
-        options_.record_trace->Push(topo_.View(), delta_);
-      }
+    // One topology call per round, in round order — either the prefetch
+    // launched by the previous Step (join before mutating round_ or topo_,
+    // both of which the in-flight call reads) or a synchronous call here.
+    // Both schedules present the adversary the identical call sequence. Per
+    // round one of two sub-paths runs, chosen by WantDirectTopology():
+    // RoundEdgesInto straight into the DynGraph's edit buffer — with one
+    // engine-side DiffSorted when a checker/trace consumes deltas — or
+    // DeltaFor + Apply (ProduceTopology). The choice only moves work
+    // between equivalent code paths; the produced graph (and every consumed
+    // delta) is identical either way.
+    RoundTopology made;
+    if (prefetch_pending_) {
+      // Join the lane task launched by the previous Step (it wrote
+      // prefetch_made_/prefetch_delta_ and possibly topo_'s edit buffer);
+      // Drain rethrows any adversary error and orders its writes before our
+      // reads.
+      DrainTopoLane();
+      prefetch_pending_ = false;
+      stats_.timings.aux_topology_ns += prefetch_ns_;
+      round_ = prefetched_round_;
+      made = prefetch_made_;
+      delta_ = std::move(prefetch_delta_);
     } else {
-      graph::Graph g(0);
-      if (prefetch_pending_) {
-        DrainTopoLane();
-        prefetch_pending_ = false;
-        stats_.timings.aux_topology_ns += prefetch_ns_;
-        g = std::move(prefetch_graph_);
-        round_ = prefetched_round_;
-      } else {
-        ++round_;
-        g = adversary_.TopologyFor(round_, *this);
-      }
-      SDN_CHECK_MSG(g.num_nodes() == n_,
-                    "adversary produced wrong-size graph");
-      if (options_.record_topologies != nullptr) {
-        options_.record_topologies->push_back(g);  // the one recording copy
-      }
-      if (options_.record_trace != nullptr) {
-        options_.record_trace->Push(g);
-      }
-      last_topology_ = std::move(g);
+      ++round_;
+      made = ProduceTopology(round_, WantDirectTopology(), delta_);
     }
-    const graph::Graph& g = incremental_ ? topo_.View() : last_topology_;
+    if (made.tried_direct && !made.assigned) topo_direct_supported_ = false;
+    if (made.assigned) {
+      topo_.CommitEdges();
+      ++topo_direct_rounds_;
+    } else {
+      topo_.Apply(delta_);  // CheckError on a contract-violating delta
+      ++topo_delta_rounds_;
+    }
+    // Whatever sub-path ran, every delta consumer must have a delta for
+    // every round — a past regression had this gate silently starving
+    // consumers when the fast path was picked.
+    SDN_CHECK(!need_delta_ || made.has_delta);
+    UpdateTopologyChurn(made.has_delta);
+    const graph::Graph& g = topo_.View();
+    if (options_.record_trace != nullptr) {
+      options_.record_trace->Push(g, delta_);
+    }
     stats_.edges_processed += g.num_edges();
     // Live-topology footprint this round: edge list + CSR adjacency +
     // offsets, plus the reused delta buffer. O(E_round), a pure function
@@ -377,7 +315,7 @@ class Engine final : private AdversaryView {
     // functions of the call stream (sampled here, after the lane joined),
     // so RunStats::memory stays bit-identical across thread counts and
     // overlap toggles.
-    if (incremental_) mem_topology_scratch_->SetCurrent(topo_.ScratchBytes());
+    mem_topology_scratch_->SetCurrent(topo_.ScratchBytes());
     mem_adversary_->SetCurrent(adversary_.BufferBytes());
     const auto t1 = Clock::now();
 
@@ -433,12 +371,9 @@ class Engine final : private AdversaryView {
                       "composition for round "
                           << round_);
         round_ok = checker_->PushComposition(*comp, g);
-      } else if (incremental_) {
+      } else {
         // The checker consumes the same delta the topology was built from.
         round_ok = checker_->PushDelta(delta_);
-      } else {
-        // From-scratch path: the checker diffs internally.
-        round_ok = checker_->Push(g);
       }
       if (!round_ok && options_.fail_fast_on_tinterval) {
         // Mirror the bandwidth-violation fail shape: record, close the
@@ -570,94 +505,43 @@ class Engine final : private AdversaryView {
     // oblivious adversary the call reads no node state, so running it on
     // the persistent auxiliary lane while OnReceive mutates the nodes is
     // race-free and the produced call sequence is identical to the
-    // synchronous schedule. In incremental mode the lane reads topo_.View(),
-    // which is not touched again until the next Step drains the lane.
+    // synchronous schedule. The lane reads topo_.View(), which is not
+    // touched again until the next Step drains the lane, and writes only the
+    // DynGraph's edit buffer (disjoint from the view the deliver phase
+    // reads), the moved-out delta and the prefetch result slots. The
+    // sub-path choice is frozen at launch from this round's churn state —
+    // exactly what the synchronous schedule would pick, since churn was last
+    // updated in this Step's topology section.
     if (prefetch_enabled_ && round_ < options_.max_rounds) {
       prefetched_round_ = round_ + 1;
       prefetch_pending_ = true;
-      if (incremental_) {
-        // The lane writes only the DynGraph's edit buffer (disjoint from
-        // the view the deliver phase reads), the moved-out delta and the
-        // prefetch result slots. The sub-path choice is frozen at launch
-        // from this round's churn state — exactly what the synchronous
-        // schedule would pick, since churn was last updated in this Step's
-        // topology section.
-        topo_lane_.Submit(util::UniqueTask(
-            [this, r = prefetched_round_, direct = WantDirectTopology(),
-             d = std::move(delta_)]() mutable {
-              const auto p0 = std::chrono::steady_clock::now();
-              PrefetchedTopology pf;
-              pf.tried_direct = direct;
-              if (direct) {
-                pf.assigned =
-                    adversary_.RoundEdgesInto(r, *this, topo_.EditBuffer());
-                if (pf.assigned && need_delta_) {
-                  graph::DiffSorted(topo_.View().Edges(), topo_.EditBuffer(),
-                                    d);
-                  pf.has_delta = true;
-                }
-              }
-              if (!pf.assigned) {
-                adversary_.DeltaFor(r, *this, topo_.View(), d);
-                pf.has_delta = true;
-              }
-              pf.delta = std::move(d);
-              prefetch_slot_ = std::move(pf);
-              prefetch_ns_ =
-                  std::chrono::duration_cast<std::chrono::nanoseconds>(
-                      std::chrono::steady_clock::now() - p0)
-                      .count();
-            }));
-      } else {
-        topo_lane_.Submit(util::UniqueTask([this, r = prefetched_round_]() {
-          const auto p0 = std::chrono::steady_clock::now();
-          prefetch_graph_ = adversary_.TopologyFor(r, *this);
-          prefetch_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - p0)
-                             .count();
-        }));
-      }
+      topo_lane_.Submit(util::UniqueTask(
+          [this, r = prefetched_round_, direct = WantDirectTopology(),
+           d = std::move(delta_)]() mutable {
+            const auto p0 = std::chrono::steady_clock::now();
+            prefetch_made_ = ProduceTopology(r, direct, d);
+            prefetch_delta_ = std::move(d);
+            prefetch_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
+                               std::chrono::steady_clock::now() - p0)
+                               .count();
+          }));
     }
 
-    // Deliver phase. Zero-copy either way. Dense path (all-sent rounds
-    // only, when the backing policy picks it): each receiver's Inbox
-    // indexes the outbox through the graph's own CSR neighbor span — no
-    // gather at all. Sparse path: gather pointers to the flagged outbox
-    // slots into per-shard reusable buffers — the flags live in sent_, so
-    // the gather itself never touches a message cache line. Both paths
-    // issue a software prefetch for each receiver's message lines before
-    // its OnReceive: the slot addresses are data-dependent scatters the
-    // hardware prefetcher cannot see, and issuing them back to back buys
-    // memory-level parallelism across the receiver's whole inbox. The
-    // outbox is not mutated until the next round's send phase. Decisions
-    // land in per-node slots plus a per-shard count, reduced below instead
-    // of mutated inline.
-    const bool all_sent = round_sent == n_;
-    // Arm choice happens per shard on this (the driving) thread — selector
-    // state is single-threaded by construction; workers only read their
-    // shard_arm_ slot. Rounds with silent nodes have no choice (gather).
-    const bool observe_arms =
-        all_sent && options_.delivery == DeliveryMode::kAdaptive;
-    bool all_dense = all_sent;
-    for (std::int64_t s = 0; s < shards_; ++s) {
-      bool dense = false;
-      if (all_sent) {
-        switch (options_.delivery) {
-          case DeliveryMode::kGather:
-            break;
-          case DeliveryMode::kDense:
-            dense = true;
-            break;
-          case DeliveryMode::kAdaptive:
-            dense = shard_selectors_[static_cast<std::size_t>(s)].Choose() ==
-                    kDenseArm;
-            break;
-        }
-      }
-      shard_arm_[static_cast<std::size_t>(s)] = dense ? 1 : 0;
-      all_dense &= dense;
-    }
-    if (all_dense) {
+    // Deliver phase. Zero-copy either way. Dense path (all-sent rounds):
+    // each receiver's Inbox indexes the outbox through the graph's own CSR
+    // neighbor span — no gather at all. Gather path (rounds with silent
+    // nodes): pointers to the flagged outbox slots go into per-shard
+    // reusable buffers — the flags live in sent_, so the gather itself
+    // never touches a message cache line. Both paths software-prefetch each
+    // receiver's message lines before its OnReceive: the slot addresses are
+    // data-dependent scatters the hardware prefetcher cannot see, and
+    // prefetching them back to back buys memory-level parallelism across
+    // the receiver's whole inbox. The outbox is not
+    // mutated until the next round's send phase. Decisions land in
+    // per-node slots plus a per-shard count, reduced below instead of
+    // mutated inline.
+    const bool dense = round_sent == n_;
+    if (dense) {
       ++dense_rounds_;
     } else {
       ++gather_rounds_;
@@ -678,16 +562,11 @@ class Engine final : private AdversaryView {
     if (fault_sleep_ms_ > 0 && round_ == fault_round_) {
       std::this_thread::sleep_for(std::chrono::milliseconds(fault_sleep_ms_));
     }
-    ForShards([this, &g, observe_arms, stage_next](int shard,
-                                                   std::int64_t begin,
-                                                   std::int64_t end) {
+    ForShards([this, &g, dense, stage_next](int shard, std::int64_t begin,
+                                            std::int64_t end) {
       using Message = typename A::Message;
       ShardAccum& acc = shard_accum_[static_cast<std::size_t>(shard)];
       acc = ShardAccum{};
-      const bool dense = shard_arm_[static_cast<std::size_t>(shard)] != 0;
-      const auto shard_start = observe_arms
-                                   ? std::chrono::steady_clock::now()
-                                   : std::chrono::steady_clock::time_point{};
       const Message* outbox = outbox_.data();
       ShardAccum* sacc = nullptr;
       Message* stage_out = nullptr;
@@ -734,12 +613,6 @@ class Engine final : private AdversaryView {
           }
           if (stage_next) stage_one(u, node);
         }
-        if (observe_arms) {
-          acc.deliver_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - shard_start)
-                  .count();
-        }
         return;
       }
       const unsigned char* sent = sent_.data();
@@ -765,11 +638,6 @@ class Engine final : private AdversaryView {
         }
         if (stage_next) stage_one(u, node);
       }
-      if (observe_arms) {
-        acc.deliver_ns = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                             std::chrono::steady_clock::now() - shard_start)
-                             .count();
-      }
     });
     staged_valid_ = stage_next;
     // Deliver window ends at the barrier; merge + decision bookkeeping are
@@ -781,22 +649,6 @@ class Engine final : private AdversaryView {
       stats_.messages_delivered += acc.messages_delivered;
       round_delivered += acc.messages_delivered;
       decided += acc.decided;
-    }
-    // Feed the adaptive backing controllers (bookkeeping, lands in
-    // other_ns). Only all-sent rounds are observed: those are the rounds
-    // where a choice exists, and normalizing to ns per delivered message
-    // keeps rounds of different sizes comparable. Each shard observes its
-    // own measured cost under the arm it actually ran.
-    if (observe_arms) {
-      for (std::int64_t s = 0; s < shards_; ++s) {
-        const ShardAccum& acc = shard_accum_[static_cast<std::size_t>(s)];
-        if (acc.messages_delivered <= 0) continue;
-        shard_selectors_[static_cast<std::size_t>(s)].Observe(
-            shard_arm_[static_cast<std::size_t>(s)] != 0 ? kDenseArm
-                                                         : kGatherArm,
-            static_cast<double>(acc.deliver_ns) /
-                static_cast<double>(acc.messages_delivered));
-      }
     }
     if (decided > 0) {
       if (stats_.first_decide_round < 0) stats_.first_decide_round = round_;
@@ -964,12 +816,12 @@ class Engine final : private AdversaryView {
   [[nodiscard]] std::int64_t current_round() const { return round_; }
   /// Topology of the most recently executed round (empty before round 1).
   [[nodiscard]] const graph::Graph& last_topology() const {
-    return incremental_ ? topo_.View() : last_topology_;
+    return topo_.View();
   }
 
-  /// Per-path round counters (test/bench introspection; not part of
-  /// RunStats because the adaptive split is timing-driven and therefore
-  /// not deterministic).
+  /// Per-path round counters (test/bench introspection). The delivery
+  /// split is a pure function of the send flags: dense rounds are exactly
+  /// the all-sent rounds.
   [[nodiscard]] std::int64_t dense_delivery_rounds() const {
     return dense_rounds_;
   }
@@ -981,13 +833,6 @@ class Engine final : private AdversaryView {
   }
   [[nodiscard]] std::int64_t topology_delta_rounds() const {
     return topo_delta_rounds_;
-  }
-  /// Shard 0's delivery ArmSelector (tests inspect warmup/preference
-  /// state; below 2·kMinShardNodes nodes there is exactly one shard, so
-  /// this is the whole selector state).
-  [[nodiscard]] const ArmSelector& delivery_selector() const {
-    SDN_CHECK(!shard_selectors_.empty());
-    return shard_selectors_.front();
   }
   /// Per-subsystem byte accounting (engine-owned budget unless
   /// EngineOptions::memory_budget redirected the charges).
@@ -1013,29 +858,17 @@ class Engine final : private AdversaryView {
   /// by at most this many rounds before Submit backpressures the producer.
   static constexpr std::size_t kCertQueueDepth = 4;
 
-  /// Adaptive delivery (DeliveryMode::kAdaptive): ArmSelector arms and
-  /// tuning. 3 warmup rounds per arm seed the EWMAs; one decision in 61 is
-  /// a re-probe of the losing arm (<2% of deliver time even when the loser
-  /// is much slower); the challenger must measure >=10% cheaper to flip the
-  /// preference (deliver-phase noise on a loaded box easily exceeds a few
-  /// percent round to round).
-  static constexpr int kDenseArm = 0;
-  static constexpr int kGatherArm = 1;
-  static constexpr int kDeliveryWarmupRounds = 3;
-  static constexpr int kDeliveryReprobeInterval = 61;
-  static constexpr double kDeliveryHysteresis = 0.9;
-
-  /// Churn-adaptive topology sub-path (incremental mode with delta
-  /// consumers): EWMA of |delta| / |E| with a hysteresis band. Above
-  /// kChurnHigh, in-place patching (Apply walks O(|Δ| log E) split points
-  /// plus the moved bytes, and itself degrades to a full linear merge once
-  /// |Δ| >= E/8) loses to rebuilding from the full round list (CommitEdges:
-  /// one swap plus an O(E) adjacency refill), so the engine flips to
-  /// RoundEdgesInto + one DiffSorted for the delta consumers; below
-  /// kChurnLow it flips back. The band brackets Apply's own E/8 dense-merge
-  /// crossover (docs/PERF.md records the measurement). Round 1's delta is
-  /// the full bootstrap graph (churn ratio ~1 by construction) and is
-  /// skipped as a bootstrap artifact.
+  /// Churn-adaptive topology sub-path (with delta consumers): EWMA of
+  /// |delta| / |E| with a hysteresis band. Above kChurnHigh, in-place
+  /// patching (Apply walks O(|Δ| log E) split points plus the moved bytes,
+  /// and itself degrades to a full linear merge once |Δ| >= E/8) loses to
+  /// rebuilding from the full round list (CommitEdges: one swap plus an
+  /// O(E) adjacency refill), so the engine flips to RoundEdgesInto + one
+  /// DiffSorted for the delta consumers; below kChurnLow it flips back. The
+  /// band brackets Apply's own E/8 dense-merge crossover (docs/PERF.md
+  /// records the measurement). Round 1's delta is the full bootstrap graph
+  /// (churn ratio ~1 by construction) and is skipped as a bootstrap
+  /// artifact.
   static constexpr double kChurnAlpha = 0.25;
   static constexpr double kChurnHigh = 0.15;
   static constexpr double kChurnLow = 0.08;
@@ -1050,10 +883,6 @@ class Engine final : private AdversaryView {
     std::int64_t decided = 0;
     graph::NodeId violation_node = -1;  // first in node order within shard
     std::int64_t violation_bits = 0;
-    /// This shard's deliver wall clock (adaptive all-sent rounds only);
-    /// feeds its ArmSelector after the barrier. Timing only — never merged
-    /// into RunStats.
-    std::int64_t deliver_ns = 0;
   };
 
   // AdversaryView:
@@ -1079,7 +908,37 @@ class Engine final : private AdversaryView {
                               .count();
   }
 
-  /// Topology sub-path for the next round in incremental mode. Without
+  /// What one round's topology call produced: the round list already sits
+  /// in topo_'s edit buffer (assigned) and/or the delta buffer holds the
+  /// round's delta (always when delta consumers exist).
+  struct RoundTopology {
+    bool tried_direct = false;
+    bool assigned = false;
+    bool has_delta = false;
+  };
+
+  /// The one adversary call for round `r` — on the driving thread or the
+  /// prefetch lane: RoundEdgesInto into topo_'s edit buffer when `direct`
+  /// (plus one DiffSorted into `delta` for delta consumers), DeltaFor into
+  /// `delta` otherwise or when the adversary declines.
+  RoundTopology ProduceTopology(std::int64_t r, bool direct,
+                                graph::TopologyDelta& delta) {
+    RoundTopology out{.tried_direct = direct};
+    if (direct) {
+      out.assigned = adversary_.RoundEdgesInto(r, *this, topo_.EditBuffer());
+      if (out.assigned && need_delta_) {
+        graph::DiffSorted(topo_.View().Edges(), topo_.EditBuffer(), delta);
+        out.has_delta = true;
+      }
+    }
+    if (!out.assigned) {
+      adversary_.DeltaFor(r, *this, topo_.View(), delta);
+      out.has_delta = true;
+    }
+    return out;
+  }
+
+  /// Topology sub-path for the next round. Without
   /// delta consumers the direct RoundEdgesInto path is strictly cheaper
   /// (no diff runs anywhere); with consumers the churn hysteresis state
   /// decides. An adversary without a native RoundEdgesInto permanently
@@ -1298,16 +1157,14 @@ class Engine final : private AdversaryView {
     if (options_.validate_tinterval) {
       checker_.emplace(n_, adversary_.interval());
     }
-    incremental_ = options_.incremental_topology;
-    if (incremental_) topo_.Reset(n_);
+    topo_.Reset(n_);
     // Certification fast path: a composition-exposing adversary lets the
     // checker certify windows by witness identity, so no delta needs to be
     // materialized for it at all — the topology hot path stays identical
     // to an unvalidated run. Excluded when a flight recorder is attached
     // (its kCheckerWindow track reads the delta path's stable_edge_count)
     // or a trace recorder forces deltas anyway.
-    use_composition_ = checker_.has_value() && options_.tinterval_composition &&
-                       incremental_ && adversary_.has_composition() &&
+    use_composition_ = checker_.has_value() && adversary_.has_composition() &&
                        rec_ == nullptr && options_.record_trace == nullptr;
     // Deltas are materialized whenever something consumes them: the
     // streaming validator (unless it rides the composition fast path) or a
@@ -1387,18 +1244,13 @@ class Engine final : private AdversaryView {
     // a flight recorder (its per-round kCheckerWindow track). stats() is
     // the rendezvous for everything else.
     async_cert_ = checker_.has_value() && options_.async_certification &&
-                  incremental_ && !options_.fail_fast_on_tinterval &&
-                  rec_ == nullptr && threads > 1;
+                  !options_.fail_fast_on_tinterval && rec_ == nullptr &&
+                  threads > 1;
     shard_accum_.assign(static_cast<std::size_t>(shards_), ShardAccum{});
     if (fused_enabled_) {
       staged_accum_.assign(static_cast<std::size_t>(shards_), ShardAccum{});
     }
     shard_slots_.resize(static_cast<std::size_t>(shards_));
-    shard_selectors_.assign(static_cast<std::size_t>(shards_),
-                            ArmSelector{kDeliveryWarmupRounds,
-                                        kDeliveryReprobeInterval,
-                                        kDeliveryHysteresis});
-    shard_arm_.assign(static_cast<std::size_t>(shards_), 0);
 
     for (int i = 0; i < options_.flood_probes; ++i) {
       const graph::NodeId src = (i == 0) ? graph::NodeId{0} : RandomSource();
@@ -1515,13 +1367,11 @@ class Engine final : private AdversaryView {
   util::Arena arena_;
   std::span<typename A::Message> outbox_;  // raw slots, one per node
   std::span<unsigned char> sent_;          // 1 iff the slot is live
-  graph::Graph last_topology_{0};  // from-scratch mode only
-  bool incremental_ = false;       // set from options_ by EnsureStarted
-  bool need_delta_ = false;        // a checker or trace consumes deltas
-  bool use_composition_ = false;   // checker rides the adversary's
-                                   // composition claim — no delta needed
-  graph::DynGraph topo_{0};        // incremental mode's one live topology
-  graph::TopologyDelta delta_;     // reused round-over-round delta buffer
+  bool need_delta_ = false;       // a checker or trace consumes deltas
+  bool use_composition_ = false;  // checker rides the adversary's
+                                  // composition claim — no delta needed
+  graph::DynGraph topo_{0};       // the one live topology
+  graph::TopologyDelta delta_;    // reused round-over-round delta buffer
 
   // Churn-adaptive topology sub-path state (see kChurnHigh/kChurnLow).
   bool topo_direct_supported_ = true;  // adversary has RoundEdgesInto
@@ -1531,32 +1381,9 @@ class Engine final : private AdversaryView {
   std::int64_t topo_direct_rounds_ = 0;
   std::int64_t topo_delta_rounds_ = 0;
 
-  // Adaptive delivery state (DeliveryMode::kAdaptive) and per-path round
-  // counters (kept for all modes — forced modes just count one arm). The
-  // selectors are per shard: at large n one global cost model washes out
-  // shard-local effects (node-order placement means shards differ in
-  // degree mix and cache residency), so each shard runs its own
-  // ArmSelector over its own measured per-message deliver cost. Arms are
-  // chosen on the driving thread before the phase (selector state is
-  // never touched from workers) into shard_arm_; workers only read their
-  // slot. A round counts as dense only when every shard chose dense, so
-  // dense+gather still partition the executed rounds (tests pin it; at
-  // n < 2·kMinShardNodes there is one shard and the behavior is exactly
-  // the old global selector's).
-  std::vector<ArmSelector> shard_selectors_;
-  std::vector<int> shard_arm_;  // this round's per-shard choice (1 = dense)
+  // Delivery-path round counters (dense = all-sent rounds).
   std::int64_t dense_rounds_ = 0;
   std::int64_t gather_rounds_ = 0;
-
-  /// What an incremental-mode topology prefetch produced: the round list
-  /// already sits in topo_'s edit buffer (assigned) and/or `delta` holds
-  /// the round's delta (always when delta consumers exist).
-  struct PrefetchedTopology {
-    bool tried_direct = false;
-    bool assigned = false;
-    bool has_delta = false;
-    graph::TopologyDelta delta;
-  };
 
   // Parallel geometry (EnsureStarted) and per-shard state.
   util::ThreadPool* pool_ = nullptr;
@@ -1580,8 +1407,8 @@ class Engine final : private AdversaryView {
   bool staged_valid_ = false;
   std::vector<ShardAccum> staged_accum_;
   std::int64_t prefetched_round_ = -1;
-  PrefetchedTopology prefetch_slot_;
-  graph::Graph prefetch_graph_{0};
+  RoundTopology prefetch_made_;
+  graph::TopologyDelta prefetch_delta_;
   bool prefetch_pending_ = false;
   std::int64_t prefetch_ns_ = 0;
   std::int64_t cert_ns_ = 0;

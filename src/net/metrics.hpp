@@ -28,7 +28,7 @@ namespace sdn::net {
 /// steady_clock reads per phase — a few tens of ns per round, negligible
 /// against the O(E) round work.
 struct EngineTimings {
-  std::int64_t topology_ns = 0;  ///< adversary TopologyFor + trace recording
+  std::int64_t topology_ns = 0;  ///< adversary round + DynGraph + trace
   std::int64_t validate_ns = 0;  ///< streaming T-interval checker
   std::int64_t probe_ns = 0;     ///< flooding-time probes
   std::int64_t send_ns = 0;      ///< OnSend + bandwidth accounting
@@ -131,8 +131,8 @@ struct RunStats {
   /// "topology" (live CSR + delta buffer), plus caller-charged subsystems
   /// ("sketch_pool", "trace_stream") when the run shares a budget through
   /// EngineOptions::memory_budget. Every charged size is a pure function
-  /// of n and the topology stream — deterministic across thread counts
-  /// and delivery backings, unlike wall-clock timings.
+  /// of n and the topology stream — deterministic across thread counts,
+  /// unlike wall-clock timings.
   std::vector<MemoryUse> memory;
 
   /// Registry snapshot (EngineOptions::collect_metrics): per-round

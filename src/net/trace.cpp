@@ -6,43 +6,15 @@
 
 namespace sdn::net {
 
-namespace {
-
-void SaveTraceV1(std::ofstream& out, std::span<const graph::Graph> rounds,
-                 graph::NodeId n, int interval) {
-  out << "sdn-trace 1\n";
-  out << "nodes " << n << " interval " << interval << " rounds "
-      << rounds.size() << "\n";
-  for (std::size_t r = 0; r < rounds.size(); ++r) {
-    const auto edges = rounds[r].Edges();
-    out << "round " << (r + 1) << " edges " << edges.size() << "\n";
-    for (const graph::Edge& e : edges) {
-      out << e.u << " " << e.v << "\n";
-    }
-  }
-}
-
-}  // namespace
-
 void SaveTrace(const std::string& path, std::span<const graph::Graph> rounds,
                int interval, TraceWriteOptions options) {
   SDN_CHECK(!rounds.empty());
   SDN_CHECK(interval >= 1);
-  SDN_CHECK_MSG(options.version == 1 || options.version == 2,
-                "unknown trace version " << options.version);
   const graph::NodeId n = rounds.front().num_nodes();
   for (const graph::Graph& g : rounds) SDN_CHECK(g.num_nodes() == n);
-
-  if (options.version == 2) {
-    TraceRecorder recorder(path, n, interval, options.keyframe_every);
-    for (const graph::Graph& g : rounds) recorder.Push(g);
-    recorder.Close();
-    return;
-  }
-  std::ofstream out(path);
-  SDN_CHECK_MSG(out.good(), "cannot open " << path << " for writing");
-  SaveTraceV1(out, rounds, n, interval);
-  SDN_CHECK_MSG(out.good(), "write failed for " << path);
+  TraceRecorder recorder(path, n, interval, options.keyframe_every);
+  for (const graph::Graph& g : rounds) recorder.Push(g);
+  recorder.Close();
 }
 
 namespace {

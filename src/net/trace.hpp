@@ -6,16 +6,18 @@
 // data (e.g. converted mobility traces) drive the simulator through
 // ReplayAdversary.
 //
-// Two text formats (line oriented, '#' comments allowed):
+// Two text formats (line oriented, '#' comments allowed). Both are read;
+// only v2 is written.
 //
-// Version 1 — every round carries its full edge list:
+// Version 1 — every round carries its full edge list (an input format for
+// externally produced traces):
 //   sdn-trace 1
 //   nodes <N> interval <T> rounds <R>
 //   round <r> edges <m>
 //   <u> <v>                          (m lines)
 //   ...
 //
-// Version 2 — delta-encoded (the default writer output). Keyframe rounds
+// Version 2 — delta-encoded (the writer's output). Keyframe rounds
 // (round 1, then every K rounds: r ≡ 1 (mod K)) carry the full edge list;
 // every other round carries the delta against round r-1. Rounds are
 // numbered 1..R strictly in order and the stream ends at EOF (no round
@@ -55,13 +57,12 @@ struct Trace {
 };
 
 struct TraceWriteOptions {
-  /// 1 = full per-round edge lists, 2 = delta-encoded with keyframes.
-  int version = 2;
-  /// v2 keyframe period K (round r is a keyframe iff r ≡ 1 mod K).
+  /// Keyframe period K (round r is a keyframe iff r ≡ 1 mod K).
   std::int64_t keyframe_every = 64;
 };
 
-/// Writes the sequence; CheckError on I/O failure or empty/ragged input.
+/// Writes the sequence as a v2 trace; CheckError on I/O failure or
+/// empty/ragged input.
 void SaveTrace(const std::string& path, std::span<const graph::Graph> rounds,
                int interval, TraceWriteOptions options = {});
 
@@ -128,8 +129,8 @@ class TraceRecorder {
   void Push(const graph::Graph& g);
 
   /// Delta fast path: `g` is the round's topology, `delta` the delta that
-  /// produced it from the previous round (exactly what the incremental
-  /// engine already has in hand).
+  /// produced it from the previous round (exactly what the engine already
+  /// has in hand).
   void Push(const graph::Graph& g, const graph::TopologyDelta& delta);
 
   [[nodiscard]] std::int64_t rounds_written() const { return rounds_; }

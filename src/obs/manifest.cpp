@@ -5,7 +5,10 @@
 #include <cstdio>
 #include <cstdlib>
 #include <ctime>
+#include <filesystem>
 #include <fstream>
+#include <map>
+#include <mutex>
 #include <sstream>
 
 #include "core/version.hpp"
@@ -62,49 +65,70 @@ std::string ReadFirstLine(const std::string& path) {
   return Strip(line);
 }
 
-/// `git rev-parse HEAD` via popen, cached once per process: the subprocess
-/// costs milliseconds and every manifest in a run wants the same answer.
-/// Only this fallback is cached — SDN_GIT_SHA and the .git walk stay freshly
-/// evaluated so tests can pin the override precedence.
-const std::string& GitShaFromSubprocess() {
-  static const std::string sha = [] {
-    std::string out;
-    if (FILE* pipe = popen("git rev-parse HEAD 2>/dev/null", "r");
-        pipe != nullptr) {
-      char buf[128];
-      while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
-      if (pclose(pipe) != 0) out.clear();
+/// Quotes `s` for a POSIX shell command line.
+std::string ShellQuote(const std::string& s) {
+  std::string out = "'";
+  for (const char c : s) {
+    if (c == '\'') {
+      out += "'\\''";
+    } else {
+      out += c;
     }
-    return Strip(out);
-  }();
-  return sha;
+  }
+  return out + "'";
 }
 
-/// Resolves HEAD, in precedence order: the SDN_GIT_SHA override, walking
-/// .git from the working directory upward, then a cached
-/// `git rev-parse HEAD` (which also covers worktrees and gitfile redirects
-/// the manual walk cannot). Returns "unknown" outside a repo (or in a
-/// container without the metadata and no git binary).
-std::string GitSha() {
+/// `git -C <dir> rev-parse HEAD` via popen, cached per directory: the
+/// subprocess costs milliseconds and every manifest in a run wants the same
+/// answer. Only this fallback is cached — SDN_GIT_SHA and the .git walk
+/// stay freshly evaluated so tests can pin the override precedence.
+std::string GitShaFromSubprocess(const std::string& dir) {
+  static std::mutex mu;
+  static std::map<std::string, std::string> cache;
+  const std::lock_guard<std::mutex> lock(mu);
+  const auto it = cache.find(dir);
+  if (it != cache.end()) return it->second;
+  std::string out;
+  const std::string cmd =
+      "git -C " + ShellQuote(dir) + " rev-parse HEAD 2>/dev/null";
+  if (FILE* pipe = popen(cmd.c_str(), "r"); pipe != nullptr) {
+    char buf[128];
+    while (std::fgets(buf, sizeof(buf), pipe) != nullptr) out += buf;
+    if (pclose(pipe) != 0) out.clear();
+  }
+  return cache[dir] = Strip(out);
+}
+
+}  // namespace
+
+std::string ResolveGitSha(const std::string& dir) {
   if (const char* env = std::getenv("SDN_GIT_SHA"); env != nullptr && *env) {
     return env;
   }
-  std::string prefix;
+  std::error_code ec;
+  std::filesystem::path at = std::filesystem::absolute(dir, ec);
+  if (ec) at = dir;
+  at = at.lexically_normal();
+  if (!at.has_filename()) at = at.parent_path();  // "a/b/" -> "a/b"
   for (int depth = 0; depth < 6; ++depth) {
-    const std::string head = ReadFirstLine(prefix + ".git/HEAD");
+    const std::filesystem::path git = at / ".git";
+    const std::string head = ReadFirstLine((git / "HEAD").string());
     if (!head.empty()) {
       if (head.rfind("ref: ", 0) == 0) {
-        const std::string sha = ReadFirstLine(prefix + ".git/" + head.substr(5));
+        const std::string sha = ReadFirstLine((git / head.substr(5)).string());
         if (!sha.empty()) return sha;
         break;  // packed refs or similar: let the subprocess resolve it
       }
       return head;  // detached HEAD: the SHA itself
     }
-    prefix += "../";
+    if (!at.has_parent_path() || at.parent_path() == at) break;
+    at = at.parent_path();
   }
-  const std::string& sha = GitShaFromSubprocess();
+  const std::string sha = GitShaFromSubprocess(dir);
   return sha.empty() ? "unknown" : sha;
 }
+
+namespace {
 
 std::string Hostname() {
   char buf[256] = {};
@@ -135,7 +159,7 @@ RunManifest RunManifest::Collect() {
   m.Set("sdn_version", std::to_string(kVersionMajor) + "." +
                            std::to_string(kVersionMinor) + "." +
                            std::to_string(kVersionPatch));
-  m.Set("git_sha", GitSha());
+  m.Set("git_sha", ResolveGitSha("."));
 #if defined(__VERSION__)
   m.Set("compiler", __VERSION__);
 #else

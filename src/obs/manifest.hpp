@@ -18,12 +18,19 @@ namespace sdn::obs {
 /// characters).
 std::string JsonEscape(const std::string& s);
 
+/// The git commit of the checkout containing `dir`, as Collect() records
+/// it: the SDN_GIT_SHA override, else HEAD read by walking up from `dir`
+/// for .git, else `git -C <dir> rev-parse HEAD` (which also covers
+/// worktrees, gitfile redirects and packed refs; cached per directory).
+/// "unknown" outside a repository.
+std::string ResolveGitSha(const std::string& dir);
+
 struct RunManifest {
   /// Ordered key-value pairs; later Set() of an existing key overwrites.
   std::vector<std::pair<std::string, std::string>> items;
 
-  /// Environment provenance: library version, git SHA (SDN_GIT_SHA env
-  /// override, else read from .git), compiler (__VERSION__), build type and
+  /// Environment provenance: library version, git SHA (ResolveGitSha of
+  /// the working directory), compiler (__VERSION__), build type and
   /// optimisation level, hostname, UTC timestamp.
   static RunManifest Collect();
 

@@ -19,9 +19,8 @@
 //     into RunStats::memory, so every run reports its footprint breakdown
 //     and bench_scale/CI can gate bytes-per-node at scale. Only
 //     deterministic quantities are charged (sizes that are pure functions
-//     of n and the topology stream) — timing-dependent scratch (adaptive
-//     gather buffers) is excluded so RunStats stays bit-identical across
-//     thread counts and backings.
+//     of n and the topology stream) — per-shard gather scratch is not
+//     charged, so RunStats stays bit-identical across thread counts.
 #pragma once
 
 #include <cstddef>

@@ -1,7 +1,7 @@
 // Tests for the delta-based incremental topology pipeline: TopologyDelta /
 // DynGraph semantics, the Adversary::DeltaFor contract across every factory
-// kind, the delta-driven streaming T-interval checker, and bit-identical
-// RunStats between the incremental and from-scratch engine paths.
+// kind, the delta-driven streaming T-interval checker, and the engine's
+// per-round topology against a from-scratch TopologyFor oracle.
 #include "graph/delta.hpp"
 
 #include <gtest/gtest.h>
@@ -11,10 +11,11 @@
 #include <vector>
 
 #include "adversary/factory.hpp"
-#include "core/api.hpp"
+#include "algo/flood_max.hpp"
 #include "graph/generators.hpp"
 #include "graph/tinterval.hpp"
 #include "net/adversary.hpp"
+#include "net/engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -301,79 +302,74 @@ TEST(TIntervalChecker, FlagsFirstBadWindowOfAbruptCut) {
   EXPECT_EQ(checker.first_bad_window(), 4);
 }
 
-/// Comparable RunStats fields (timings excluded — wall clock).
-void ExpectSameStats(const net::RunStats& a, const net::RunStats& b,
-                     const std::string& label) {
-  EXPECT_EQ(a.rounds, b.rounds) << label;
-  EXPECT_EQ(a.all_decided, b.all_decided) << label;
-  EXPECT_EQ(a.hit_max_rounds, b.hit_max_rounds) << label;
-  EXPECT_EQ(a.first_decide_round, b.first_decide_round) << label;
-  EXPECT_EQ(a.last_decide_round, b.last_decide_round) << label;
-  EXPECT_EQ(a.decide_round, b.decide_round) << label;
-  EXPECT_EQ(a.messages_sent, b.messages_sent) << label;
-  EXPECT_EQ(a.sends_per_node, b.sends_per_node) << label;
-  EXPECT_EQ(a.total_message_bits, b.total_message_bits) << label;
-  EXPECT_EQ(a.max_message_bits, b.max_message_bits) << label;
-  EXPECT_EQ(a.edges_processed, b.edges_processed) << label;
-  EXPECT_EQ(a.messages_delivered, b.messages_delivered) << label;
-  EXPECT_EQ(a.tinterval_ok, b.tinterval_ok) << label;
-  EXPECT_EQ(a.tinterval_validated, b.tinterval_validated) << label;
-  EXPECT_EQ(a.flooding.probes, b.flooding.probes) << label;
-  EXPECT_EQ(a.flooding.completed, b.flooding.completed) << label;
-  EXPECT_EQ(a.flooding.max_rounds, b.flooding.max_rounds) << label;
-}
-
-/// End to end: the incremental engine path produces bit-identical RunStats
-/// to the from-scratch path, with validation and probes on.
-TEST(IncrementalEngine, RunStatsMatchFromScratchPath) {
-  for (const std::string& kind :
-       {std::string("spine-gnp"), std::string("spine-expander"),
-        std::string("static-path"), std::string("adaptive-desc"),
-        std::string("mobile")}) {
-    RunConfig config;
-    config.n = 48;
-    config.T = 2;
-    config.seed = 11;
-    config.adversary.kind = kind;
-    config.threads = 1;
-
-    config.incremental_topology = true;
-    const RunResult inc = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
-    config.incremental_topology = false;
-    const RunResult scratch = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
-
-    ExpectSameStats(inc.stats, scratch.stats, kind);
-    EXPECT_TRUE(inc.Ok()) << kind;
-    EXPECT_TRUE(scratch.Ok()) << kind;
+/// The adversary view the engine presents, reconstructed from outside:
+/// before Step() executes round r, round() is r and PublicState reads the
+/// nodes' state as the engine's adversary call sees it.
+template <typename Program>
+class EngineView final : public net::AdversaryView {
+ public:
+  explicit EngineView(const net::Engine<Program>& engine) : engine_(engine) {}
+  [[nodiscard]] std::int64_t round() const override {
+    return engine_.current_round() + 1;
   }
-}
+  [[nodiscard]] double PublicState(NodeId u) const override {
+    return engine_.node(u).PublicState();
+  }
+  [[nodiscard]] NodeId num_nodes() const override {
+    return engine_.num_nodes();
+  }
 
-/// Same end-to-end comparison with validation off: no checker and no trace
-/// recorder means the engine takes the RoundEdgesInto direct-assignment fast
-/// path instead of DeltaFor/Apply, and it too must be bit-identical to the
-/// from-scratch path.
-TEST(IncrementalEngine, FastPathStatsMatchScratchWithValidationOff) {
-  for (const std::string& kind :
-       {std::string("spine-gnp"), std::string("spine-expander"),
-        std::string("static-path"), std::string("adaptive-desc"),
-        std::string("mobile")}) {
-    RunConfig config;
-    config.n = 48;
-    config.T = 2;
-    config.seed = 11;
-    config.adversary.kind = kind;
-    config.threads = 1;
-    config.validate_tinterval = false;
+ private:
+  const net::Engine<Program>& engine_;
+};
 
-    config.incremental_topology = true;
-    const RunResult fast = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
-    config.incremental_topology = false;
-    const RunResult scratch = RunAlgorithm(Algorithm::kFloodMaxKnownN, config);
-
-    ExpectSameStats(fast.stats, scratch.stats, kind);
-    EXPECT_FALSE(fast.stats.tinterval_validated) << kind;
-    EXPECT_TRUE(fast.Ok()) << kind;
-    EXPECT_TRUE(scratch.Ok()) << kind;
+/// Topology oracle: every Step()'s last_topology() equals what a second
+/// instance of the same adversary builds from scratch with TopologyFor, for
+/// every factory kind. Validation on drives the DeltaFor/Apply sub-path
+/// (the checker consumes deltas) unless the kind publishes compositions;
+/// validation off takes the RoundEdgesInto direct path. threads=2 at
+/// n >= 128 adds the topology prefetch lane for oblivious kinds.
+TEST(EngineTopology, EveryStepMatchesFromScratchOracle) {
+  for (const std::string& kind : adversary::KnownAdversaryKinds()) {
+    for (const bool validate : {true, false}) {
+      for (const auto& [n, threads] : {std::pair<NodeId, int>{48, 1},
+                                       std::pair<NodeId, int>{160, 2}}) {
+        SCOPED_TRACE(kind + " validate=" + std::to_string(validate) +
+                     " n=" + std::to_string(n) +
+                     " threads=" + std::to_string(threads));
+        adversary::AdversaryConfig config;
+        config.kind = kind;
+        config.n = n;
+        config.T = 2;
+        config.seed = 11;
+        const auto adv = adversary::MakeAdversary(config);
+        const auto oracle = adversary::MakeAdversary(config);
+        std::vector<algo::FloodMaxKnownN> nodes;
+        for (NodeId u = 0; u < n; ++u) nodes.emplace_back(u, n, (u * 37) % n);
+        net::EngineOptions opts;
+        opts.validate_tinterval = validate;
+        opts.threads = threads;
+        net::Engine<algo::FloodMaxKnownN> engine(std::move(nodes), *adv, opts);
+        const EngineView<algo::FloodMaxKnownN> view(engine);
+        while (true) {
+          // Queried before the round runs: adaptive kinds read the node
+          // state the engine's own adversary call is about to see.
+          const Graph expected = oracle->TopologyFor(view.round(), view);
+          if (!engine.Step()) break;
+          ASSERT_EQ(engine.last_topology(), expected)
+              << "round " << engine.current_round();
+        }
+        const net::RunStats stats = engine.stats();
+        EXPECT_TRUE(stats.all_decided);
+        // Every round took exactly one topology sub-path.
+        EXPECT_EQ(engine.topology_direct_rounds() +
+                      engine.topology_delta_rounds(),
+                  stats.rounds);
+        if (validate) {
+          EXPECT_TRUE(stats.tinterval_ok);
+        }
+      }
+    }
   }
 }
 

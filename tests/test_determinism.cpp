@@ -236,7 +236,7 @@ TEST(Determinism, OverlapTogglesOnStreamingTrace) {
     nodes.reserve(static_cast<std::size_t>(streaming.num_nodes()));
     for (graph::NodeId u = 0; u < streaming.num_nodes(); ++u) {
       nodes.emplace_back(u, u, options,
-                         base.Fork(static_cast<std::uint64_t>(u)), &pool);
+                         base.Fork(static_cast<std::uint64_t>(u)), pool);
     }
     net::EngineOptions opts;
     opts.flood_probes = 0;

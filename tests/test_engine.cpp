@@ -2,9 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
 #include <optional>
 #include <span>
-#include <tuple>
+#include <string>
 #include <vector>
 
 #include "adversary/factory.hpp"
@@ -12,7 +13,8 @@
 #include "adversary/static_adversary.hpp"
 #include "algo/flood_max.hpp"
 #include "graph/generators.hpp"
-#include "net/backing.hpp"
+#include "graph/tinterval.hpp"
+#include "net/trace.hpp"
 #include "obs/recorder.hpp"
 #include "util/check.hpp"
 
@@ -169,16 +171,22 @@ TEST(Engine, DecideRoundsRecorded) {
   }
 }
 
-TEST(Engine, RecordsTopologies) {
+/// Steps `engine` to completion, capturing last_topology() after every
+/// executed round.
+template <typename Program>
+std::vector<graph::Graph> StepAndCapture(Engine<Program>& engine) {
+  std::vector<graph::Graph> topologies;
+  while (engine.Step()) topologies.push_back(engine.last_topology());
+  return topologies;
+}
+
+TEST(Engine, LastTopologyTracksEveryRound) {
   StaticAdversary adv(graph::Cycle(5));
   std::vector<InboxCounter> nodes(5, InboxCounter(3));
-  EngineOptions opts;
-  std::vector<graph::Graph> trace;
-  opts.record_topologies = &trace;
-  Engine<InboxCounter> engine(std::move(nodes), adv, opts);
-  (void)engine.Run();
+  Engine<InboxCounter> engine(std::move(nodes), adv, {});
+  const std::vector<graph::Graph> trace = StepAndCapture(engine);
   ASSERT_EQ(trace.size(), 3u);
-  EXPECT_EQ(trace[0], graph::Cycle(5));
+  for (const graph::Graph& g : trace) EXPECT_EQ(g, graph::Cycle(5));
 }
 
 TEST(Engine, RecordedRunReplaysIdentically) {
@@ -199,18 +207,14 @@ TEST(Engine, RecordedRunReplaysIdentically) {
     return nodes;
   };
 
-  std::vector<graph::Graph> trace;
-  EngineOptions record_opts;
-  record_opts.record_topologies = &trace;
-  Engine<FloodMaxKnownN> first(make_nodes(), *original, record_opts);
-  const RunStats first_stats = first.Run();
+  Engine<FloodMaxKnownN> first(make_nodes(), *original, {});
+  const std::vector<graph::Graph> trace = StepAndCapture(first);
+  const RunStats first_stats = first.stats();
 
   adversary::ReplayAdversary replay(trace, 2);
-  std::vector<graph::Graph> trace2;
-  EngineOptions replay_opts;
-  replay_opts.record_topologies = &trace2;
-  Engine<FloodMaxKnownN> second(make_nodes(), replay, replay_opts);
-  const RunStats second_stats = second.Run();
+  Engine<FloodMaxKnownN> second(make_nodes(), replay, {});
+  const std::vector<graph::Graph> trace2 = StepAndCapture(second);
+  const RunStats second_stats = second.stats();
 
   EXPECT_EQ(first_stats.rounds, second_stats.rounds);
   EXPECT_EQ(first_stats.messages_sent, second_stats.messages_sent);
@@ -218,8 +222,7 @@ TEST(Engine, RecordedRunReplaysIdentically) {
   for (graph::NodeId u = 0; u < 12; ++u) {
     EXPECT_EQ(first.node(u).output(), second.node(u).output());
   }
-  // Recording a replayed run must reproduce the trace exactly (each round
-  // makes exactly one explicit copy into the trace — no divergence possible).
+  // Capturing a replayed run must reproduce the trace exactly.
   EXPECT_EQ(trace, trace2);
 }
 
@@ -337,9 +340,17 @@ class CopySpy {
   };
   using Output = std::int64_t;
 
-  explicit CopySpy(Round decide_after) : decide_after_(decide_after) {}
+  /// `id` odd and `silent_odd_rounds` set: the node skips odd rounds, so a
+  /// run mixes all-sent (dense) and partially silent (gather) rounds.
+  CopySpy(graph::NodeId id, Round decide_after, bool silent_odd_rounds)
+      : id_(id),
+        decide_after_(decide_after),
+        silent_odd_rounds_(silent_odd_rounds) {}
 
-  std::optional<Message> OnSend(Round r) { return Message(r); }
+  std::optional<Message> OnSend(Round r) {
+    if (silent_odd_rounds_ && id_ % 2 == 1 && r % 2 == 1) return std::nullopt;
+    return Message(r);
+  }
   void OnReceive(Round r, Inbox<Message> inbox) {
     for (const Message& m : inbox) sum_ += m.payload;
     if (r >= decide_after_) decided_ = true;
@@ -352,7 +363,9 @@ class CopySpy {
   static std::size_t MessageBits(const Message&) { return 64; }
 
  private:
+  graph::NodeId id_;
   Round decide_after_;
+  bool silent_odd_rounds_;
   std::int64_t sum_ = 0;
   bool decided_ = false;
 };
@@ -360,19 +373,21 @@ class CopySpy {
 static_assert(NodeProgram<CopySpy>);
 
 TEST(Engine, DeliveryMakesZeroMessageCopies) {
-  // Every node sends, so dense_delivery=true exercises the CSR path and
-  // dense_delivery=false the pointer gather; both are zero-copy.
-  for (const bool dense : {true, false}) {
+  // All-sent rounds take the dense CSR path, rounds with silent nodes the
+  // pointer gather; both are zero-copy.
+  for (const bool mixed : {false, true}) {
     CopySpy::Message::copies = 0;
     StaticAdversary adv(graph::Complete(6));
-    std::vector<CopySpy> nodes(6, CopySpy(4));
-    EngineOptions opts;
-    opts.delivery = dense ? DeliveryMode::kDense : DeliveryMode::kGather;
-    Engine<CopySpy> engine(std::move(nodes), adv, opts);
+    std::vector<CopySpy> nodes;
+    for (graph::NodeId u = 0; u < 6; ++u) nodes.emplace_back(u, 4, mixed);
+    Engine<CopySpy> engine(std::move(nodes), adv, {});
     const RunStats stats = engine.Run();
-    EXPECT_EQ(CopySpy::Message::copies, 0) << "dense=" << dense;
-    // 6 nodes x 5 neighbors x 4 rounds delivered, never copied.
-    EXPECT_EQ(stats.messages_delivered, 6 * 5 * 4) << "dense=" << dense;
+    EXPECT_EQ(CopySpy::Message::copies, 0) << "mixed=" << mixed;
+    // All-sent rounds deliver 6 x 5; odd mixed rounds have only the three
+    // even ids sending, which reach 2 (even) or 3 (odd) receivers each.
+    EXPECT_EQ(stats.messages_delivered, mixed ? 2 * 30 + 2 * 15 : 4 * 30)
+        << "mixed=" << mixed;
+    EXPECT_EQ(engine.dense_delivery_rounds(), mixed ? 2 : 4);
   }
 }
 
@@ -455,19 +470,17 @@ TEST(Engine, ReceiversShareOneMessageInstance) {
 }
 
 TEST(Engine, DenseDeliveryAliasesOutboxSlots) {
-  // Complete(4) with everyone sending and the dense backing forced: each
-  // round is an all-sender round, so every round takes the dense CSR path.
-  // The aliasing contract is the same as the gather path's: every receiver
-  // of sender v's round-r message reads the very same object (the sender's
-  // outbox slot), zero copies.
+  // Complete(4) with everyone sending: each round is an all-sender round,
+  // so every round takes the dense CSR path. The aliasing contract is the
+  // same as the gather path's: every receiver of sender v's round-r
+  // message reads the very same object (the sender's outbox slot), zero
+  // copies.
   StaticAdversary adv(graph::Complete(4));
   std::vector<AliasProbe> nodes;
   for (graph::NodeId u = 0; u < 4; ++u) {
     nodes.emplace_back(u, 3, /*all_send=*/true);
   }
-  EngineOptions opts;
-  opts.delivery = DeliveryMode::kDense;
-  Engine<AliasProbe> engine(std::move(nodes), adv, opts);
+  Engine<AliasProbe> engine(std::move(nodes), adv, {});
   (void)engine.Run();
   for (graph::NodeId u = 0; u < 4; ++u) {
     EXPECT_EQ(engine.node(u).dense_rounds(), 3);
@@ -513,7 +526,6 @@ class Alternator {
     return Message{r * 31 + id_};
   }
   void OnReceive(Round r, Inbox<Message> inbox) {
-    if (inbox.dense()) ++dense_rounds_;
     for (const Message& m : inbox) sum_ += m.payload;
     if (r >= decide_after_) decided_ = true;
   }
@@ -523,52 +535,15 @@ class Alternator {
   }
   [[nodiscard]] double PublicState() const { return 0.0; }
   static std::size_t MessageBits(const Message&) { return 64; }
-  [[nodiscard]] std::int64_t dense_rounds() const { return dense_rounds_; }
 
  private:
   graph::NodeId id_;
   Round decide_after_;
   std::int64_t sum_ = 0;
-  std::int64_t dense_rounds_ = 0;
   bool decided_ = false;
 };
 
 static_assert(NodeProgram<Alternator>);
-
-TEST(Engine, DenseAndGatherAgreeAcrossSilentRounds) {
-  // Rounds alternate between all-sender (dense eligible) and half-silent
-  // (gather only). Forcing the gather path everywhere must not change any
-  // stat or any node's payload sum — the two backings are interchangeable.
-  const auto run = [](bool dense) {
-    StaticAdversary adv(graph::Cycle(12));
-    std::vector<Alternator> nodes;
-    for (graph::NodeId u = 0; u < 12; ++u) nodes.emplace_back(u, 8);
-    EngineOptions opts;
-    opts.delivery = dense ? DeliveryMode::kDense : DeliveryMode::kGather;
-    Engine<Alternator> engine(std::move(nodes), adv, opts);
-    const RunStats stats = engine.Run();
-    std::vector<std::int64_t> outputs;
-    std::int64_t dense_rounds = 0;
-    for (graph::NodeId u = 0; u < 12; ++u) {
-      outputs.push_back(*engine.node(u).output());
-      dense_rounds += engine.node(u).dense_rounds();
-    }
-    return std::tuple(stats, outputs, dense_rounds);
-  };
-  const auto [dense_stats, dense_out, dense_rounds] = run(true);
-  const auto [gather_stats, gather_out, gather_rounds] = run(false);
-  // 4 of 8 rounds are all-sender; the dense run must actually take the
-  // dense path there (12 nodes each), and the forced-gather run never.
-  EXPECT_EQ(dense_rounds, 4 * 12);
-  EXPECT_EQ(gather_rounds, 0);
-  EXPECT_EQ(dense_out, gather_out);
-  EXPECT_EQ(dense_stats.rounds, gather_stats.rounds);
-  EXPECT_EQ(dense_stats.messages_sent, gather_stats.messages_sent);
-  EXPECT_EQ(dense_stats.messages_delivered, gather_stats.messages_delivered);
-  EXPECT_EQ(dense_stats.total_message_bits, gather_stats.total_message_bits);
-  EXPECT_EQ(dense_stats.decide_round, gather_stats.decide_round);
-  EXPECT_EQ(dense_stats.sends_per_node, gather_stats.sends_per_node);
-}
 
 /// Promises T=2 but alternates between edge-disjoint connected graphs, so no
 /// 2-window has a stable connected subgraph.
@@ -646,72 +621,6 @@ TEST(Engine, WrongSizeAdversaryRejected) {
   std::vector<InboxCounter> nodes(2, InboxCounter(1));
   EXPECT_THROW((Engine<InboxCounter>(std::move(nodes), adv, {})),
                util::CheckError);
-}
-
-// ---------------------------------------------------------------------------
-// ArmSelector: the measured chooser behind DeliveryMode::kAdaptive.
-
-TEST(ArmSelector, WarmupAlternatesUntilBothArmsSampled) {
-  ArmSelector sel(/*warmup_per_arm=*/3, /*reprobe_interval=*/10,
-                  /*hysteresis=*/0.9);
-  for (int i = 0; i < 6; ++i) {
-    EXPECT_FALSE(sel.warmed_up());
-    const int arm = sel.Choose();
-    EXPECT_EQ(arm, i % 2) << "warmup must alternate";
-    sel.Observe(arm, 100.0);
-  }
-  EXPECT_TRUE(sel.warmed_up());
-  EXPECT_EQ(sel.observations(0), 3);
-  EXPECT_EQ(sel.observations(1), 3);
-}
-
-TEST(ArmSelector, NeverPicksTheMeasuredLoser) {
-  // The PR 6 satellite contract: outside warmup and the bounded re-probe,
-  // Choose() must return the arm the EWMAs say is cheaper. Arm 0 measures
-  // 10x cheaper here, so every non-re-probe decision must be arm 0.
-  ArmSelector sel(/*warmup_per_arm=*/2, /*reprobe_interval=*/7,
-                  /*hysteresis=*/0.9);
-  while (!sel.warmed_up()) {
-    const int arm = sel.Choose();
-    sel.Observe(arm, arm == 0 ? 10.0 : 100.0);
-  }
-  int reprobes = 0;
-  for (int i = 0; i < 200; ++i) {
-    const int arm = sel.Choose();
-    if (arm == 1) ++reprobes;
-    sel.Observe(arm, arm == 0 ? 10.0 : 100.0);
-  }
-  EXPECT_EQ(sel.preferred(), 0);
-  // Exactly one decision in every reprobe_interval refreshes the loser.
-  EXPECT_EQ(reprobes, 200 / 7);
-}
-
-TEST(ArmSelector, HysteresisBlocksFlipsNearParity) {
-  ArmSelector sel(/*warmup_per_arm=*/1, /*reprobe_interval=*/100,
-                  /*hysteresis=*/0.9);
-  sel.Observe(0, 100.0);
-  sel.Observe(1, 95.0);  // 5% cheaper: inside the 10% hysteresis band
-  EXPECT_EQ(sel.preferred(), 0);
-  // 40% cheaper clears the band (one Observe moves the EWMA a quarter of
-  // the way, so feed a few).
-  for (int i = 0; i < 10; ++i) sel.Observe(1, 60.0);
-  EXPECT_EQ(sel.preferred(), 1);
-}
-
-TEST(ArmSelector, ReprobeRecoversFromWorkloadShift) {
-  // Arm 0 wins at first; then the workload shifts and arm 0 becomes 10x
-  // worse. Only the periodic re-probe ever samples arm 1 again, and it must
-  // be enough to flip the preference.
-  ArmSelector sel(/*warmup_per_arm=*/1, /*reprobe_interval=*/5,
-                  /*hysteresis=*/0.9);
-  sel.Observe(0, 10.0);
-  sel.Observe(1, 100.0);
-  EXPECT_EQ(sel.preferred(), 0);
-  for (int i = 0; i < 100 && sel.preferred() == 0; ++i) {
-    const int arm = sel.Choose();
-    sel.Observe(arm, arm == 0 ? 1000.0 : 100.0);
-  }
-  EXPECT_EQ(sel.preferred(), 1);
 }
 
 // ---------------------------------------------------------------------------
@@ -798,41 +707,61 @@ TEST(Engine, DirectSendMatchesOptionalSend) {
 }
 
 // ---------------------------------------------------------------------------
-// Incremental-topology delta gating (PR 6 satellite c).
+// Topology delta gating.
 
-TEST(Engine, ConsumersSeeEveryDeltaOnIncrementalPath) {
+/// Oblivious-adversary view for driving a second adversary instance
+/// outside the engine (the from-scratch oracle).
+class ZeroView final : public AdversaryView {
+ public:
+  explicit ZeroView(graph::NodeId n) : n_(n) {}
+  [[nodiscard]] std::int64_t round() const override { return 1; }
+  [[nodiscard]] double PublicState(graph::NodeId) const override { return 0; }
+  [[nodiscard]] graph::NodeId num_nodes() const override { return n_; }
+
+ private:
+  graph::NodeId n_;
+};
+
+TEST(Engine, ConsumersSeeEveryDeltaOnDeltaPath) {
   // Regression for the delta-gating audit: the direct topology path skips
   // delta production unless a consumer needs one, and the streaming
   // T-interval checker, the topology trace and the flight recorder are all
-  // such consumers. Attach all three at once on the incremental path (the
-  // engine asserts internally that every consumer round has a delta) and
-  // pin the recorded trace against the legacy from-scratch path's.
+  // such consumers. Attach all three at once (the engine asserts
+  // internally that every consumer round has a delta), check every round's
+  // topology against a from-scratch TopologyFor replay of a second
+  // adversary instance, and check that the recorded trace reads back as
+  // the same sequence.
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
   config.n = 32;
   config.T = 2;
   config.seed = 77;
-  const auto run = [&config](bool incremental, std::vector<graph::Graph>* trace,
-                             obs::FlightRecorder* rec) {
-    const auto adv = adversary::MakeAdversary(config);
-    std::vector<InboxCounter> nodes(32, InboxCounter(40));
-    EngineOptions opts;
-    opts.incremental_topology = incremental;
-    opts.record_topologies = trace;
-    opts.recorder = rec;
-    Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
-    return engine.Run();
-  };
-  std::vector<graph::Graph> inc_trace;
-  std::vector<graph::Graph> scratch_trace;
+  const auto adv = adversary::MakeAdversary(config);
+  const auto oracle = adversary::MakeAdversary(config);
+  const ZeroView view(32);
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "sdn_test_engine_consumers.trace")
+                               .string();
   obs::FlightRecorder rec;
-  const RunStats inc = run(true, &inc_trace, &rec);
-  const RunStats scratch = run(false, &scratch_trace, nullptr);
-  EXPECT_TRUE(inc.tinterval_validated);
-  EXPECT_TRUE(inc.tinterval_ok);
-  EXPECT_EQ(inc.rounds, scratch.rounds);
-  EXPECT_EQ(inc.messages_delivered, scratch.messages_delivered);
-  EXPECT_EQ(inc_trace, scratch_trace);
+  TraceRecorder trace(path, 32, 2, /*keyframe_every=*/8);
+  std::vector<InboxCounter> nodes(32, InboxCounter(40));
+  EngineOptions opts;
+  opts.recorder = &rec;
+  opts.record_trace = &trace;
+  Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
+  const std::vector<graph::Graph> seen = StepAndCapture(engine);
+  trace.Close();
+  const RunStats stats = engine.stats();
+  EXPECT_TRUE(stats.tinterval_validated);
+  EXPECT_TRUE(stats.tinterval_ok);
+  ASSERT_EQ(static_cast<std::int64_t>(seen.size()), stats.rounds);
+  for (std::size_t r = 0; r < seen.size(); ++r) {
+    EXPECT_EQ(seen[r],
+              oracle->TopologyFor(static_cast<std::int64_t>(r) + 1, view))
+        << "round " << r + 1;
+  }
+  EXPECT_EQ(LoadTrace(path).rounds, seen);
+  std::filesystem::remove(path);
   EXPECT_GT(rec.total_emitted(), 0u);
 }
 
@@ -927,53 +856,48 @@ TEST(Engine, FailFastIsInertOnHonestRuns) {
   EXPECT_EQ(stats.certified_T, 2);
 }
 
-TEST(Engine, CompositionPathMatchesGeneralCheckerPath) {
-  // The certification fast path (witness ids) and the delta-driven exact
-  // checker must agree on every reported verdict field; only the internal
-  // mechanism differs.
-  adversary::AdversaryConfig config;
-  config.kind = "spine-gnp";
-  config.n = 48;
-  config.T = 2;
-  config.seed = 21;
-  const auto run = [&config](bool composition) {
-    const auto adv = adversary::MakeAdversary(config);
-    std::vector<InboxCounter> nodes(48, InboxCounter(40));
-    EngineOptions opts;
-    opts.tinterval_composition = composition;
-    Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
-    return engine.Run();
-  };
-  const RunStats fast = run(true);
-  const RunStats general = run(false);
-  EXPECT_EQ(fast.tinterval_ok, general.tinterval_ok);
-  EXPECT_EQ(fast.certified_T, general.certified_T);
-  EXPECT_EQ(fast.tinterval_first_bad_window,
-            general.tinterval_first_bad_window);
-  EXPECT_EQ(fast.min_stable_forest, general.min_stable_forest);
-  EXPECT_EQ(fast.rounds, general.rounds);
-  EXPECT_EQ(fast.messages_delivered, general.messages_delivered);
-}
+TEST(Engine, CompositionPathMatchesDeltaCheckerOracle) {
+  // The engine certifies composition-publishing adversaries by witness
+  // identity, without materializing a delta. Oracle: a second instance of
+  // the same adversary streams its DeltaFor sequence through the general
+  // delta-driven checker, which must report the same verdict in every
+  // field, for every composition-publishing kind and T in {1, 2, 3}.
+  const graph::NodeId n = 48;
+  const ZeroView view(n);
+  int checked_kinds = 0;
+  for (const std::string& kind : adversary::KnownAdversaryKinds()) {
+    for (const int T : {1, 2, 3}) {
+      adversary::AdversaryConfig config;
+      config.kind = kind;
+      config.n = n;
+      config.T = T;
+      config.seed = 21;
+      const auto adv = adversary::MakeAdversary(config);
+      if (!adv->has_composition()) continue;
+      if (T == 1) ++checked_kinds;
+      SCOPED_TRACE(kind + " T=" + std::to_string(T));
+      std::vector<InboxCounter> nodes(static_cast<std::size_t>(n),
+                                      InboxCounter(40));
+      Engine<InboxCounter> engine(std::move(nodes), *adv, {});
+      const RunStats witness = engine.Run();
 
-TEST(Engine, TopologyAndDeliveryPathCountersPartitionRounds) {
-  // Every round takes exactly one topology path (direct or delta) and one
-  // delivery backing (dense or gather) — the accessors the bench and PERF
-  // docs cite must account for all of them.
-  adversary::AdversaryConfig config;
-  config.kind = "spine-gnp";
-  config.n = 24;
-  config.T = 2;
-  config.seed = 5;
-  const auto adv = adversary::MakeAdversary(config);
-  std::vector<InboxCounter> nodes(24, InboxCounter(30));
-  EngineOptions opts;
-  opts.validate_tinterval = false;
-  Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
-  const RunStats stats = engine.Run();
-  EXPECT_EQ(engine.topology_direct_rounds() + engine.topology_delta_rounds(),
-            stats.rounds);
-  EXPECT_EQ(engine.dense_delivery_rounds() + engine.gather_delivery_rounds(),
-            stats.rounds);
+      const auto oracle_adv = adversary::MakeAdversary(config);
+      graph::TIntervalChecker oracle(n, T);
+      graph::DynGraph dyn(n);
+      graph::TopologyDelta delta;
+      for (std::int64_t r = 1; r <= witness.rounds; ++r) {
+        oracle_adv->DeltaFor(r, view, dyn.View(), delta);
+        dyn.Apply(delta);
+        (void)oracle.PushDelta(delta);
+      }
+      EXPECT_TRUE(witness.tinterval_validated);
+      EXPECT_EQ(witness.tinterval_ok, oracle.ok());
+      EXPECT_EQ(witness.certified_T, oracle.certified_T());
+      EXPECT_EQ(witness.tinterval_first_bad_window, oracle.first_bad_window());
+      EXPECT_EQ(witness.min_stable_forest, oracle.min_stable_forest());
+    }
+  }
+  EXPECT_GT(checked_kinds, 0);
 }
 
 }  // namespace

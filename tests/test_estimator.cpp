@@ -3,8 +3,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
+#include "algo/sketch_pool.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -196,6 +198,52 @@ TEST(Estimator, RepetitionsForMatchesStddevTarget) {
   const int L = CardinalityEstimator::RepetitionsFor(0.1);
   EXPECT_LE(CardinalityEstimator::RelativeStddev(L), 0.1);
   EXPECT_GT(CardinalityEstimator::RelativeStddev(L - 1), 0.1);
+}
+
+/// Pooled and owned-quantized layouts must stay in lockstep: same wire
+/// bits per coordinate, fingerprint and estimate.
+void ExpectSameSketch(const CardinalityEstimator& owned,
+                      const CardinalityEstimator& pooled) {
+  for (std::size_t i = 0; i < static_cast<std::size_t>(owned.size()); ++i) {
+    ASSERT_EQ(owned.CoordBits(i), pooled.CoordBits(i)) << "coord " << i;
+  }
+  EXPECT_EQ(owned.Fingerprint(), pooled.Fingerprint());
+  EXPECT_EQ(owned.Estimate(), pooled.Estimate());
+}
+
+// hjswy keeps its sketches in the shared SoA pool; the owned layout remains
+// for standalone use. Both must agree bit for bit under the merges hjswy
+// performs (single coordinates and float32 wire blocks), for the count sketch
+// and a weighted track_sum sketch at a nonzero column base.
+TEST(Estimator, PooledLayoutMatchesOwnedQuantizedLayout) {
+  const int L = 64;
+  SketchPool pool(/*nodes=*/3, /*columns=*/2 * L);
+  util::Rng wire_rng(99);
+  for (const std::uint64_t weight : {0ULL, 1ULL, 9ULL}) {
+    util::Rng owned_rng(41 + weight);
+    util::Rng pooled_rng(41 + weight);
+    CardinalityEstimator owned(L, owned_rng, /*quantize_float32=*/true);
+    CardinalityEstimator pooled(L, pooled_rng, &pool, 1, /*col_base=*/0);
+    CardinalityEstimator owned_sum =
+        CardinalityEstimator::ForWeight(weight, L, owned_rng, true);
+    CardinalityEstimator pooled_sum =
+        CardinalityEstimator::ForWeight(weight, L, pooled_rng, &pool, 1, L);
+    for (int step = 0; step < 200; ++step) {
+      ExpectSameSketch(owned, pooled);
+      ExpectSameSketch(owned_sum, pooled_sum);
+      const CardinalityEstimator sender(L, wire_rng, /*quantize_float32=*/true);
+      const auto base = static_cast<std::size_t>(wire_rng.UniformU64(L));
+      const std::size_t len = 1 + wire_rng.UniformU64(L - base);
+      std::vector<std::uint32_t> bits;
+      for (std::size_t i = base; i < base + len; ++i) {
+        bits.push_back(sender.CoordBits(i));
+        ASSERT_EQ(owned.MergeCoord(i, sender.Coord(i)),
+                  pooled.MergeCoord(i, sender.Coord(i)));
+      }
+      ASSERT_EQ(owned_sum.MergeBlockBits(base, bits.data(), len),
+                pooled_sum.MergeBlockBits(base, bits.data(), len));
+    }
+  }
 }
 
 }  // namespace

@@ -93,10 +93,12 @@ TEST(FailureInjection, PartitionMakesHjswyHalvesDisagreeOnCount) {
   algo::HjswyOptions options;
   options.T = 1;
   options.exact_census = true;
+  algo::SketchPool pool(32, algo::HjswyProgram::RequiredPoolColumns(options));
   util::Rng base(3);
   std::vector<algo::HjswyProgram> nodes;
   for (graph::NodeId u = 0; u < 32; ++u) {
-    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)));
+    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)),
+                       pool);
   }
   EngineOptions opts;
   opts.max_rounds = 100000;
@@ -138,8 +140,9 @@ TEST(FailureInjection, AlarmRaisedOnDivergentSuffixNeighbor) {
   algo::HjswyOptions options;
   options.T = 1;
   util::Rng base(5);
-  algo::HjswyProgram node(0, 7, options, base.Fork(0));
-  algo::HjswyProgram stranger(1, 12345, options, base.Fork(1));
+  algo::SketchPool pool(2, algo::HjswyProgram::RequiredPoolColumns(options));
+  algo::HjswyProgram node(0, 7, options, base.Fork(0), pool);
+  algo::HjswyProgram stranger(1, 12345, options, base.Fork(1), pool);
 
   // Find the first suffix round of phase 0.
   Round suffix_round = 1;
@@ -166,9 +169,13 @@ TEST(FailureInjection, QuietIdenticalSuffixRaisesNoAlarm) {
   algo::HjswyOptions options;
   options.T = 1;
   util::Rng base(5);
-  // Two replicas of the same node state (same seed): identical sketches.
-  algo::HjswyProgram node(0, 7, options, base.Fork(0));
-  algo::HjswyProgram twin(0, 7, options, base.Fork(0));
+  // Two replicas of the same node state (same seed): identical sketches,
+  // each in its own pool (both are node 0).
+  algo::SketchPool pool(1, algo::HjswyProgram::RequiredPoolColumns(options));
+  algo::SketchPool twin_pool(1,
+                             algo::HjswyProgram::RequiredPoolColumns(options));
+  algo::HjswyProgram node(0, 7, options, base.Fork(0), pool);
+  algo::HjswyProgram twin(0, 7, options, base.Fork(0), twin_pool);
   Round suffix_round = 1;
   while (!node.Locate(suffix_round).in_suffix) ++suffix_round;
   for (Round r = 1; r <= suffix_round; ++r) {
@@ -189,10 +196,12 @@ TEST(FailureInjection, EarlyPhasesRejectedWhenHorizonBelowFloodingTime) {
   options.T = 1;
   options.exact_census = true;
   options.initial_horizon = 1;
+  algo::SketchPool pool(64, algo::HjswyProgram::RequiredPoolColumns(options));
   util::Rng base(9);
   std::vector<algo::HjswyProgram> nodes;
   for (graph::NodeId u = 0; u < 64; ++u) {
-    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)));
+    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)),
+                       pool);
   }
   EngineOptions opts;
   opts.max_rounds = 100000;
@@ -210,10 +219,12 @@ TEST(FailureInjection, DefaultSuffixSurvivesTheSameScenario) {
   algo::HjswyOptions options;
   options.T = 1;
   options.exact_census = true;
+  algo::SketchPool pool(64, algo::HjswyProgram::RequiredPoolColumns(options));
   util::Rng base(9);
   std::vector<algo::HjswyProgram> nodes;
   for (graph::NodeId u = 0; u < 64; ++u) {
-    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)));
+    nodes.emplace_back(u, u, options, base.Fork(static_cast<std::uint64_t>(u)),
+                       pool);
   }
   EngineOptions opts;
   opts.max_rounds = 100000;

@@ -2,10 +2,10 @@
 // registry's determinism contract and quantile math, and run-manifest
 // serialisation (docs/OBSERVABILITY.md).
 #include <gtest/gtest.h>
+#include <unistd.h>
 
-#include <algorithm>
-#include <cctype>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -262,22 +262,72 @@ TEST(Manifest, CollectRecordsProvenanceKeys) {
   EXPECT_EQ(utc[10], 'T');
 }
 
-TEST(Manifest, GitShaOverridePrecedenceAndLocalFallback) {
+/// A fresh scratch directory under the system temp dir, removed on scope
+/// exit. SDN_GIT_SHA is cleared and git's upward repository discovery is
+/// capped at the directory's parent, so the git-sha resolver sees only
+/// what the test builds here.
+class GitFixtureDir {
+ public:
+  explicit GitFixtureDir(const std::string& name)
+      : path_(std::filesystem::temp_directory_path() /
+              ("sdn_test_obs_" + name + "_" + std::to_string(::getpid()))) {
+    std::filesystem::remove_all(path_);
+    std::filesystem::create_directories(path_);
+    unsetenv("SDN_GIT_SHA");
+    setenv("GIT_CEILING_DIRECTORIES", path_.parent_path().c_str(), 1);
+  }
+  ~GitFixtureDir() {
+    unsetenv("SDN_GIT_SHA");
+    unsetenv("GIT_CEILING_DIRECTORIES");
+    std::filesystem::remove_all(path_);
+  }
+  GitFixtureDir(const GitFixtureDir&) = delete;
+  GitFixtureDir& operator=(const GitFixtureDir&) = delete;
+
+  [[nodiscard]] const std::filesystem::path& path() const { return path_; }
+
+  /// Writes `content` plus a newline to path()/relative, creating parents.
+  void Write(const std::string& relative, const std::string& content) const {
+    const std::filesystem::path file = path_ / relative;
+    std::filesystem::create_directories(file.parent_path());
+    std::ofstream(file) << content << "\n";
+  }
+
+ private:
+  std::filesystem::path path_;
+};
+
+TEST(Manifest, GitShaResolvesFixtureCheckout) {
+  // A minimal .git: HEAD names a branch whose ref file holds the commit.
+  // Resolution works from the checkout root and from any subdirectory.
+  const GitFixtureDir repo("checkout");
+  const std::string sha = "0123456789abcdef0123456789abcdef01234567";
+  repo.Write(".git/HEAD", "ref: refs/heads/main");
+  repo.Write(".git/refs/heads/main", sha);
+  std::filesystem::create_directories(repo.path() / "src" / "deep");
+  EXPECT_EQ(ResolveGitSha(repo.path().string()), sha);
+  EXPECT_EQ(ResolveGitSha((repo.path() / "src" / "deep").string()), sha);
+  // Detached HEAD: the HEAD file is the commit itself.
+  const std::string detached = "fedcba9876543210fedcba9876543210fedcba98";
+  repo.Write(".git/HEAD", detached);
+  EXPECT_EQ(ResolveGitSha(repo.path().string()), detached);
+}
+
+TEST(Manifest, GitShaOverrideWinsOverFixtureCheckout) {
   // The SDN_GIT_SHA override (CI's pin of the exact commit under test)
-  // wins over any local resolution, verbatim.
+  // wins over any local resolution, verbatim — in Collect() too.
+  const GitFixtureDir repo("override");
+  repo.Write(".git/HEAD", "0123456789abcdef0123456789abcdef01234567");
   ASSERT_EQ(setenv("SDN_GIT_SHA", "feedface0override", 1), 0);
+  EXPECT_EQ(ResolveGitSha(repo.path().string()), "feedface0override");
   EXPECT_EQ(*RunManifest::Collect().Find("git_sha"), "feedface0override");
-  ASSERT_EQ(unsetenv("SDN_GIT_SHA"), 0);
-  // Without the override the sha resolves locally: the .git/HEAD walk,
-  // then a cached `git rev-parse HEAD`. Run from anywhere inside this
-  // repository that must produce a real 40-hex commit id — the historic
-  // git_sha:"unknown" rows in recorded manifests were this fallback
-  // missing, not an unknowable sha.
-  const std::string sha = *RunManifest::Collect().Find("git_sha");
-  EXPECT_EQ(sha.size(), 40u) << "resolved git_sha: " << sha;
-  EXPECT_TRUE(std::all_of(sha.begin(), sha.end(), [](unsigned char c) {
-    return std::isxdigit(c) != 0;
-  })) << "resolved git_sha: " << sha;
+}
+
+TEST(Manifest, GitShaOutsideARepoIsUnknown) {
+  // No .git anywhere up the walk and git itself finds no repository: the
+  // manifest says so instead of guessing.
+  const GitFixtureDir dir("no_repo");
+  EXPECT_EQ(ResolveGitSha(dir.path().string()), "unknown");
 }
 
 TEST(Manifest, SetOverwritesAndSerialises) {
@@ -606,7 +656,7 @@ TEST(Manifest, FakeTimeEnvOverridesUtcTimestampAndRoundTrips) {
   EXPECT_NE(faked.ToJson().find("\"utc_time\":\"2026-01-02T03:04:05Z\""),
             std::string::npos);
   ASSERT_EQ(unsetenv("SDN_FAKE_TIME"), 0);
-  const std::string& real = *RunManifest::Collect().Find("utc_time");
+  const std::string real = *RunManifest::Collect().Find("utc_time");
   EXPECT_EQ(real.size(), 20u);  // back on the wall clock
   EXPECT_EQ(real.back(), 'Z');
 }

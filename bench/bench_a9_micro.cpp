@@ -17,6 +17,7 @@
 #include <functional>
 #include <memory>
 #include <numeric>
+#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -27,7 +28,9 @@
 #include "algo/hjswy.hpp"
 #include "algo/idset.hpp"
 #include "graph/algorithms.hpp"
+#include "graph/delta.hpp"
 #include "graph/generators.hpp"
+#include "graph/tinterval.hpp"
 #include "net/engine.hpp"
 #include "obs/anomaly.hpp"
 #include "obs/manifest.hpp"
@@ -153,6 +156,76 @@ void BM_TIntervalValidation(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_TIntervalValidation)->Arg(256)->Arg(2048);
+
+/// Streaming checker's general path: replays pre-generated spine-gnp (T=2)
+/// deltas through TIntervalChecker::PushDelta. Args: log2 n, churn (0 =
+/// the adversary's defaults, 1 = low churn: 16 volatile edges, 1000-round
+/// eras). The first T rounds only prime the checker (round 1 adds every
+/// edge, round T ages them all in) and are never timed, so the reported
+/// time is the steady-state cost per round.
+void BM_TIntervalPushDelta(benchmark::State& state) {
+  const auto n = static_cast<graph::NodeId>(1) << state.range(0);
+  const bool low_churn = state.range(1) != 0;
+  // Low-churn deltas are tiny, so a long stream keeps the untimed
+  // re-priming rare; high-churn streams stay short to bound their memory.
+  const std::int64_t rounds = low_churn ? 512 : 16;
+  adversary::AdversaryConfig config;
+  config.kind = "spine-gnp";
+  config.n = n;
+  config.T = 2;
+  config.seed = 42;
+  if (low_churn) {
+    config.volatile_edges = 16;
+    config.era_length = 1000;
+  }
+  const auto adv = adversary::MakeAdversary(config);
+
+  class RoundView final : public net::AdversaryView {
+   public:
+    explicit RoundView(graph::NodeId n) : n_(n) {}
+    [[nodiscard]] std::int64_t round() const override { return round_; }
+    [[nodiscard]] double PublicState(graph::NodeId) const override {
+      return 0;
+    }
+    [[nodiscard]] graph::NodeId num_nodes() const override { return n_; }
+    std::int64_t round_ = 0;
+
+   private:
+    graph::NodeId n_;
+  } view(n);
+
+  std::vector<graph::TopologyDelta> deltas(static_cast<std::size_t>(rounds));
+  graph::DynGraph dyn(n);
+  std::int64_t flips = 0;
+  for (std::int64_t r = 1; r <= rounds; ++r) {
+    view.round_ = r;
+    auto& delta = deltas[static_cast<std::size_t>(r - 1)];
+    adv->DeltaFor(r, view, dyn.View(), delta);
+    dyn.Apply(delta);
+    if (r > config.T) flips += delta.size();
+  }
+  // One iteration = one round. Past the last delta the stream restarts on
+  // a fresh checker, primed off the clock.
+  const auto primed = static_cast<std::size_t>(config.T);
+  std::optional<graph::TIntervalChecker> checker;
+  std::size_t next = deltas.size();
+  for (auto _ : state) {
+    if (next == deltas.size()) {
+      state.PauseTiming();
+      checker.emplace(n, config.T);
+      for (next = 0; next < primed; ++next) checker->PushDelta(deltas[next]);
+      state.ResumeTiming();
+    }
+    benchmark::DoNotOptimize(checker->PushDelta(deltas[next++]));
+  }
+  SDN_CHECK(checker->ok());
+  state.counters["edges"] = static_cast<double>(dyn.View().num_edges());
+  state.counters["flips_per_round"] =
+      static_cast<double>(flips) / static_cast<double>(rounds - config.T);
+}
+BENCHMARK(BM_TIntervalPushDelta)
+    ->ArgsProduct({{10, 14, 16}, {0, 1}})
+    ->Unit(benchmark::kMillisecond);
 
 /// rounds/sec of the identical workload measured on the pre-zero-copy engine
 /// (shared_ptr-free but copying delivery, sort-on-construct topologies).
@@ -344,16 +417,29 @@ void ReportEngineTimings() {
     untraced_sd_ns = std::min(untraced_sd_ns,
                               message_path_ns(TimedReferenceRun(/*threads=*/1)));
   }
+  // The attached recorder forces the general T-interval checker, so the
+  // same reps also give its within-run marginal total / (total - validate):
+  // the median over the reps is general_checker_overhead_ratio.
   std::unique_ptr<obs::FlightRecorder> traced_rec;
   net::RunStats traced;
+  std::vector<double> general_marginals;
   for (int rep = 0; rep < 3; ++rep) {
     auto rec = std::make_unique<obs::FlightRecorder>();
     const net::RunStats s = TimedReferenceRun(/*threads=*/1, rec.get());
+    SDN_CHECK_MSG(s.checker_path == net::CheckerPath::kGeneral,
+                  "traced reference run did not certify on the general path");
+    general_marginals.push_back(
+        static_cast<double>(s.timings.total_ns) /
+        static_cast<double>(std::max<std::int64_t>(
+            1, s.timings.total_ns - s.timings.validate_ns)));
     if (traced_rec == nullptr || message_path_ns(s) < message_path_ns(traced)) {
       traced = s;
       traced_rec = std::move(rec);
     }
   }
+  std::sort(general_marginals.begin(), general_marginals.end());
+  const double general_checker_overhead_ratio =
+      general_marginals[general_marginals.size() / 2];
   const std::int64_t traced_sd_ns = message_path_ns(traced);
   const double trace_overhead_ratio =
       static_cast<double>(traced_sd_ns) / static_cast<double>(untraced_sd_ns);
@@ -376,6 +462,10 @@ void ReportEngineTimings() {
       static_cast<long long>(traced_sd_ns), trace_overhead_ratio,
       message_path_speedup_vs_pr3, message_path_speedup_vs_pr4,
       message_path_speedup_vs_pr5);
+  std::printf(
+      "general checker (recorder attached, serial, median of 3): marginal "
+      "overhead=%.3fx\n",
+      general_checker_overhead_ratio);
 
   // Certification A/B: the identical serial workload with the streaming
   // T-interval checker off vs on (everything else fixed, no recorder). The
@@ -608,6 +698,7 @@ void ReportEngineTimings() {
                "  \"validated_total_ns\": %lld,\n"
                "  \"checker_ab_ratio\": %.3f,\n"
                "  \"checker_overhead_ratio\": %.3f,\n"
+               "  \"general_checker_overhead_ratio\": %.3f,\n"
                "  \"pr7_rounds_per_sec\": %.1f,\n"
                "  \"speedup_vs_pr7\": %.3f,\n"
                "  \"pipeline_threads\": %d,\n"
@@ -648,6 +739,7 @@ void ReportEngineTimings() {
                static_cast<long long>(unvalidated_total_ns),
                static_cast<long long>(validated_total_ns),
                checker_ab_ratio, checker_overhead_ratio,
+               general_checker_overhead_ratio,
                kPr7RoundsPerSec, speedup_vs_pr7,
                pipeline_threads, pipeline_oversubscribed ? "true" : "false",
                static_cast<long long>(pipeline_off_total_ns),

@@ -108,7 +108,9 @@ class MetricsExporter {
     for (const net::MemoryUse& m : stats.memory) {
       memory.push_back({m.subsystem, m.current_bytes, m.peak_bytes});
     }
-    if (obs::WriteOpenMetrics(path_, stats.metrics, memory, stats.anomalies)) {
+    const obs::InfoSeries info[] = {stats.CheckerInfo()};
+    if (obs::WriteOpenMetrics(path_, stats.metrics, memory, stats.anomalies,
+                              info)) {
       if (!announced_) {
         std::cout << "(metrics: " << path_ << ")\n";
         announced_ = true;

@@ -225,8 +225,9 @@ int Main(int argc, char** argv) {
     for (const net::MemoryUse& m : last.memory) {
       series.push_back({m.subsystem, m.current_bytes, m.peak_bytes});
     }
+    const obs::InfoSeries info[] = {last.CheckerInfo()};
     if (obs::WriteOpenMetrics(metrics_out, last.metrics, series,
-                              last.anomalies)) {
+                              last.anomalies, info)) {
       std::printf("wrote %s\n", metrics_out.c_str());
     } else {
       std::printf("cannot write %s\n", metrics_out.c_str());

@@ -30,23 +30,38 @@ void IncrementalForest::Reset(NodeId n) {
   uf_.Reset(static_cast<std::size_t>(n));
   tree_.clear();
   dirty_ = false;
+  rebuilding_ = false;
 }
 
 void IncrementalForest::BeginRebuild() {
   uf_.Reset(static_cast<std::size_t>(n_));
   tree_.clear();
   dirty_ = false;
+  rebuilding_ = true;
+}
+
+void IncrementalForest::EndRebuild() {
+  if (!rebuilding_) return;
+  if (!std::is_sorted(tree_.begin(), tree_.end())) {
+    std::sort(tree_.begin(), tree_.end());
+  }
+  rebuilding_ = false;
 }
 
 void IncrementalForest::Insert(NodeId u, NodeId v, std::uint64_t key) {
   if (dirty_) return;  // rebuild will re-derive everything
   if (uf_.Union(u, v)) {
-    tree_.insert(std::lower_bound(tree_.begin(), tree_.end(), key), key);
+    if (rebuilding_) {
+      tree_.push_back(key);
+    } else {
+      tree_.insert(std::lower_bound(tree_.begin(), tree_.end(), key), key);
+    }
   }
 }
 
 void IncrementalForest::Erase(std::uint64_t key) {
   if (dirty_) return;
+  EndRebuild();
   const auto it = std::lower_bound(tree_.begin(), tree_.end(), key);
   if (it != tree_.end() && *it == key) {
     // A spanning-tree edge left: connectivity may have changed and the

@@ -67,10 +67,9 @@ class UnionFind {
 /// streaming T-interval checker's stable set. Insertions are near-O(α)
 /// (one union); deleting a non-tree edge is O(log tree) and leaves the
 /// forest valid; deleting a tree edge marks the structure dirty, and the
-/// owner re-derives it with BeginRebuild + Insert over the surviving edges
-/// — a lazy rebuild that is O(changes) amortized for the checker because
-/// stable-set deletions are bounded by delta sizes (a tree edge must have
-/// been inserted since the previous rebuild, ISSUE 7 / ROADMAP item 4).
+/// owner re-derives it lazily with BeginRebuild, one Insert per surviving
+/// edge and EndRebuild — one linear pass over the stable set, paid only in
+/// rounds where a tree edge left.
 /// While dirty, Insert/Erase become no-ops (the rebuild re-derives
 /// everything) and the connectivity accessors are off-limits (checked).
 class IncrementalForest {
@@ -81,8 +80,16 @@ class IncrementalForest {
   void Reset(NodeId n);
 
   /// Starts a rebuild: clears the forest and the dirty flag; the caller
-  /// then Inserts every surviving edge.
+  /// then Inserts every surviving edge and closes with EndRebuild. Rebuild
+  /// inserts append their tree keys in O(1) whatever the key order, so a
+  /// rebuild is linear in the edges walked — never the O(tree²) memmove of
+  /// sorted inserts.
   void BeginRebuild();
+
+  /// Closes a rebuild: sorts the appended tree keys once (a linear scan
+  /// when they were inserted in ascending key order, as the streaming
+  /// checker does). Erase closes an open rebuild implicitly.
+  void EndRebuild();
 
   /// A present edge (key = packed endpoint pair) joins the set. Records it
   /// as a tree edge iff the union merged two components.
@@ -116,9 +123,11 @@ class IncrementalForest {
  private:
   NodeId n_ = 0;
   UnionFind uf_;
-  /// Sorted keys of the current spanning forest's edges.
+  /// Keys of the current spanning forest's edges: sorted, except between
+  /// BeginRebuild and EndRebuild, when they are appended in insert order.
   std::vector<std::uint64_t> tree_;
   bool dirty_ = false;
+  bool rebuilding_ = false;
 };
 
 /// BFS hop distances from `source`; unreachable nodes get -1.

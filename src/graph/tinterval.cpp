@@ -1,6 +1,7 @@
 #include "graph/tinterval.hpp"
 
 #include <algorithm>
+#include <limits>
 
 #include "graph/algorithms.hpp"
 #include "util/check.hpp"
@@ -47,6 +48,34 @@ void IntersectSorted(const std::vector<Edge>& a, const std::vector<Edge>& b,
       ++j;
     }
   }
+}
+
+/// Gaps up to this many run entries are scanned linearly: dense deltas
+/// flip every few entries, where a gallop's unpredictable branches and a
+/// bulk copy's call cost more than walking the gap.
+constexpr std::size_t kShortGap = 8;
+
+/// First index in [lo, keys.size()) whose key is >= x: a linear scan of
+/// the first kShortGap entries, then exponential probes and a binary search
+/// inside the last doubling — O(log gap).
+std::size_t Gallop(const std::vector<std::uint64_t>& keys, std::size_t lo,
+                   std::uint64_t x) {
+  const std::size_t hi = keys.size();
+  for (const std::size_t end = std::min(lo + kShortGap, hi); lo < end; ++lo) {
+    if (keys[lo] >= x) return lo;
+  }
+  if (lo == hi || keys[lo] >= x) return lo;
+  std::size_t below = lo;  // keys[below] < x
+  std::size_t step = 1;
+  while (below + step < hi && keys[below + step] < x) {
+    below += step;
+    step <<= 1;
+  }
+  const auto first = keys.begin() + static_cast<std::ptrdiff_t>(below + 1);
+  const auto last =
+      keys.begin() + static_cast<std::ptrdiff_t>(std::min(below + step, hi));
+  return static_cast<std::size_t>(std::lower_bound(first, last, x) -
+                                  keys.begin());
 }
 
 }  // namespace
@@ -109,42 +138,30 @@ bool TIntervalChecker::PushDelta(const TopologyDelta& delta) {
 
 bool TIntervalChecker::PushDeltaImpl(const TopologyDelta& delta) {
   const std::int64_t r = ++rounds_seen_;
+  SDN_CHECK_MSG(r <= std::numeric_limits<std::int32_t>::max(),
+                "T-interval checker: stream exceeds 2^31 rounds");
   // The window [r-T+1, r] intersection is exactly the present edges with
-  // since <= threshold.
+  // born <= threshold.
   const std::int64_t threshold = r - t_ + 1;
-
-  for (const Edge& e : delta.removed) {
-    const auto it = since_.find(Key(e));
-    SDN_CHECK_MSG(it != since_.end(),
-                  "T-interval checker: delta removes absent edge ("
-                      << e.u << "," << e.v << ") at round " << r);
-    if (it->second <= threshold - 1) {
-      // Was in the previous round's stable set; the intersection shrinks.
-      --stable_count_;
-      forest_.Erase(Key(e));  // marks the forest dirty iff a tree edge
-    }
-    since_.erase(it);
-  }
 
   // Added edges (re)appear now and can age into the stable set at round
   // r + T - 1; for T == 1 that is this very round, handled by the aging
   // pass below reading the bucket entries just pushed.
-  auto& incoming = aging_[static_cast<std::size_t>((r + t_ - 1) % t_)];
-  for (const Edge& e : delta.added) {
-    const bool inserted = since_.emplace(Key(e), r).second;
-    SDN_CHECK_MSG(inserted, "T-interval checker: delta adds present edge ("
-                                << e.u << "," << e.v << ") at round " << r);
-    incoming.push_back(e);
-  }
+  MergeDelta(delta, r, threshold,
+             aging_[static_cast<std::size_t>((r + t_ - 1) % t_)]);
 
   // Aging pass: edges scheduled for this round join the stable set if they
-  // are still present and were not re-added since scheduling.
+  // are still present and were not re-added since scheduling. The bucket
+  // is one round's sorted `added` list, so one forward gallop finds them.
   auto& bucket = aging_[static_cast<std::size_t>(r % t_)];
-  for (const Edge& e : bucket) {
-    const auto it = since_.find(Key(e));
-    if (it != since_.end() && it->second == threshold) {
+  std::size_t at = 0;
+  for (const std::uint64_t key : bucket) {
+    at = Gallop(run_keys_, at, key);
+    if (at < run_keys_.size() && run_keys_[at] == key &&
+        run_born_[at] == threshold) {
       ++stable_count_;
-      forest_.Insert(e.u, e.v, Key(e));  // near-O(α) union
+      const Edge e = EdgeOf(key);
+      forest_.Insert(e.u, e.v, key);  // near-O(α) union
     }
   }
   bucket.clear();
@@ -167,16 +184,95 @@ bool TIntervalChecker::PushDeltaImpl(const TopologyDelta& delta) {
   return ok_;
 }
 
-void TIntervalChecker::RebuildForest(std::int64_t threshold) {
-  forest_.BeginRebuild();
-  std::int64_t counted = 0;
-  for (const auto& [key, since] : since_) {
-    if (since <= threshold) {
-      forest_.Insert(static_cast<NodeId>(key >> 32),
-                     static_cast<NodeId>(key & 0xffffffffULL), key);
-      ++counted;
+void TIntervalChecker::MergeDelta(const TopologyDelta& delta, std::int64_t r,
+                                  std::int64_t threshold,
+                                  std::vector<std::uint64_t>& incoming) {
+  if (delta.empty()) return;
+  // One merge walk over the delta's flips in key order (the delta contract
+  // makes `added` and `removed` sorted and disjoint). Before each flip the
+  // unchanged entries are copied over: element by element for a short gap
+  // (dense deltas), by a gallop and one bulk copy past that. The spare
+  // buffers are sized up front and written through raw pointers; resizing
+  // zero-fills only growth, and the final resize only shrinks. The exact
+  // reserve keeps resize's doubling growth from padding the capacity.
+  const std::size_t old_size = run_keys_.size();
+  const std::size_t bound = old_size + delta.added.size();
+  spare_keys_.reserve(bound);
+  spare_born_.reserve(bound);
+  spare_keys_.resize(bound);
+  spare_born_.resize(bound);
+  const std::uint64_t* const keys = run_keys_.data();
+  const std::uint32_t* const born = run_born_.data();
+  std::uint64_t* out_keys = spare_keys_.data();
+  std::uint32_t* out_born = spare_born_.data();
+  const auto now = static_cast<std::uint32_t>(r);
+  std::size_t i = 0;
+  std::size_t a = 0;
+  std::size_t d = 0;
+  while (a < delta.added.size() || d < delta.removed.size()) {
+    const bool take_add =
+        a < delta.added.size() &&
+        (d == delta.removed.size() || delta.added[a] < delta.removed[d]);
+    const Edge& e = take_add ? delta.added[a] : delta.removed[d];
+    const std::uint64_t key = Key(e);
+    const std::size_t short_end = std::min(i + kShortGap, old_size);
+    while (i < short_end && keys[i] < key) {
+      *out_keys++ = keys[i];
+      *out_born++ = born[i];
+      ++i;
+    }
+    if (i == short_end && i < old_size && keys[i] < key) {
+      const std::size_t at = Gallop(run_keys_, i, key);
+      out_keys = std::copy(keys + i, keys + at, out_keys);
+      out_born = std::copy(born + i, born + at, out_born);
+      i = at;
+    }
+    if (take_add) {
+      SDN_CHECK_MSG(i == old_size || keys[i] != key,
+                    "T-interval checker: delta adds present edge ("
+                        << e.u << "," << e.v << ") at round " << r);
+      *out_keys++ = key;
+      *out_born++ = now;
+      incoming.push_back(key);
+      ++a;
+    } else {
+      SDN_CHECK_MSG(i < old_size && keys[i] == key,
+                    "T-interval checker: delta removes absent edge ("
+                        << e.u << "," << e.v << ") at round " << r);
+      if (born[i] <= threshold - 1) {
+        // Was in the previous round's stable set; the intersection shrinks.
+        --stable_count_;
+        forest_.Erase(key);  // marks the forest dirty iff a tree edge
+      }
+      ++i;
+      ++d;
     }
   }
+  out_keys = std::copy(keys + i, keys + old_size, out_keys);
+  std::copy(born + i, born + old_size, out_born);
+  const auto size = static_cast<std::size_t>(out_keys - spare_keys_.data());
+  spare_keys_.resize(size);
+  spare_born_.resize(size);
+  run_keys_.swap(spare_keys_);
+  run_born_.swap(spare_born_);
+}
+
+void TIntervalChecker::RebuildForest(std::int64_t threshold) {
+  // One sequential walk in key order, so the forest's tree keys append in
+  // ascending order. Unions stop once the forest spans (n-1 tree edges: no
+  // later insert can merge); the stable edges are still all counted.
+  forest_.BeginRebuild();
+  const auto spanning = static_cast<std::int64_t>(n_) - 1;
+  std::int64_t counted = 0;
+  for (std::size_t i = 0; i < run_keys_.size(); ++i) {
+    if (run_born_[i] > threshold) continue;
+    ++counted;
+    if (forest_.tree_edges() < spanning) {
+      const Edge e = EdgeOf(run_keys_[i]);
+      forest_.Insert(e.u, e.v, run_keys_[i]);
+    }
+  }
+  forest_.EndRebuild();
   SDN_CHECK_MSG(counted == stable_count_,
                 "T-interval checker stable-set bookkeeping drifted: counted "
                     << stable_count_ << ", found " << counted);
@@ -187,10 +283,10 @@ void TIntervalChecker::EvaluateBootstrap(std::int64_t r) {
   // restricted to the rounds that exist is the prefix intersection
   // [1, r] = the present edges that have been in since round 1.
   scratch_uf_.Reset(static_cast<std::size_t>(n_));
-  for (const auto& [key, since] : since_) {
-    if (since <= 1) {
-      scratch_uf_.Union(static_cast<NodeId>(key >> 32),
-                        static_cast<NodeId>(key & 0xffffffffULL));
+  for (std::size_t i = 0; i < run_keys_.size(); ++i) {
+    if (run_born_[i] <= 1) {
+      const Edge e = EdgeOf(run_keys_[i]);
+      scratch_uf_.Union(e.u, e.v);
     }
   }
   boot_forest_ = static_cast<std::int64_t>(n_) -
@@ -203,7 +299,7 @@ void TIntervalChecker::EvaluateBootstrap(std::int64_t r) {
 
 std::int64_t TIntervalChecker::LargestConnectedSuffix(std::int64_t r,
                                                       std::int64_t cap) {
-  // Bucket present edges by clamp(since - (r-cap+1), 0, cap-1); adding the
+  // Bucket present edges by clamp(born - (r-cap+1), 0, cap-1); adding the
   // buckets in ascending order makes the union-find hold, after bucket i,
   // the intersection of the window [r-cap+1+i, r] — the first connected
   // prefix of buckets identifies the longest connected suffix window.
@@ -214,15 +310,16 @@ std::int64_t TIntervalChecker::LargestConnectedSuffix(std::int64_t r,
   for (std::int64_t i = 0; i < cap; ++i) {
     sweep_buckets_[static_cast<std::size_t>(i)].clear();
   }
-  for (const auto& [key, since] : since_) {
-    const std::int64_t idx = std::max<std::int64_t>(since - base, 0);
-    sweep_buckets_[static_cast<std::size_t>(idx)].push_back(key);
+  for (std::size_t i = 0; i < run_keys_.size(); ++i) {
+    const std::int64_t idx =
+        std::max<std::int64_t>(run_born_[i] - base, 0);
+    sweep_buckets_[static_cast<std::size_t>(idx)].push_back(run_keys_[i]);
   }
   scratch_uf_.Reset(static_cast<std::size_t>(n_));
   for (std::int64_t i = 0; i < cap; ++i) {
     for (const std::uint64_t key : sweep_buckets_[static_cast<std::size_t>(i)]) {
-      scratch_uf_.Union(static_cast<NodeId>(key >> 32),
-                        static_cast<NodeId>(key & 0xffffffffULL));
+      const Edge e = EdgeOf(key);
+      scratch_uf_.Union(e.u, e.v);
     }
     if (scratch_uf_.num_components() == 1) return cap - i;
   }
@@ -513,13 +610,10 @@ std::int64_t TIntervalChecker::ApproxBytes() const {
     using T = typename std::decay_t<decltype(v)>::value_type;
     return static_cast<std::int64_t>(v.capacity() * sizeof(T));
   };
-  // Hash map: per-entry node (key + value + chain pointer) plus the bucket
-  // array. Both counts are pure functions of the pushed stream, so the
-  // total is as deterministic as the rest of the checker's state.
-  std::int64_t total = static_cast<std::int64_t>(
-      since_.size() *
-          (sizeof(std::uint64_t) + sizeof(std::int64_t) + sizeof(void*)) +
-      since_.bucket_count() * sizeof(void*));
+  // Capacities are pure functions of the pushed stream, so the total is as
+  // deterministic as the rest of the checker's state.
+  std::int64_t total = vec(run_keys_) + vec(run_born_) + vec(spare_keys_) +
+                       vec(spare_born_);
   for (const auto& bucket : aging_) total += vec(bucket);
   total += forest_.ApproxBytes() + scratch_uf_.ApproxBytes();
   for (const auto& bucket : sweep_buckets_) total += vec(bucket);

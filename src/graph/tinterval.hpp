@@ -12,7 +12,6 @@
 #include <memory>
 #include <optional>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/algorithms.hpp"
@@ -97,12 +96,21 @@ struct RoundComposition {
 /// Delta-driven: instead of buffering the last T graphs and intersecting
 /// them every round (O(T·E) per round), the checker tracks, per present
 /// edge, the round it most recently (re)appeared. The T-window intersection
-/// at round r is exactly the present edges with `since <= r - T + 1`, so
-/// per-round maintenance is O(|Δ|) amortized — removed edges leave, added
-/// edges are scheduled to "age into" the stable set T-1 rounds later — and
-/// connectivity rides an IncrementalForest: aged-in edges union in O(α),
-/// non-tree removals are free, and only a tree-edge removal forces a lazy
-/// O(stable) rebuild (bounded by the deltas that created those tree edges).
+/// at round r is exactly the present edges with `born <= r - T + 1`.
+///
+/// The present edges live in one flat run sorted by edge key — keys and
+/// birth rounds in two parallel arrays, 12 bytes per edge, no hash map.
+/// Each round merges the run against the delta's sorted `removed`/`added`
+/// lists into a second buffer: short gaps between flips are copied entry
+/// by entry, longer unchanged spans are skipped by a galloping search and
+/// bulk-copied, so a round costs O(|Δ| log E) compares plus one bulk copy
+/// of the run. Added edges are scheduled to "age into" the
+/// stable set T-1 rounds later (a ring of sorted key lists, matched
+/// against the run by galloping search), and connectivity rides an
+/// IncrementalForest: aged-in edges union in O(α), non-tree removals are
+/// free, and only a tree-edge removal forces a lazy rebuild — one
+/// sequential walk of the run in key order, so the forest's tree keys are
+/// appended in ascending order.
 ///
 /// PushComposition is the certification fast path for adversaries that
 /// expose their round structure (RoundComposition): windows are certified
@@ -174,9 +182,10 @@ class TIntervalChecker {
   /// whole-prefix intersection, matching ValidateTInterval's clamping.
   [[nodiscard]] std::int64_t min_stable_forest() const;
 
-  /// Byte footprint of the checker's owned state (edge-age map, aging
-  /// ring, incremental forest, scratch buffers, fresh-edge ring). A pure
-  /// function of the pushed round stream, so it is safe to surface as a
+  /// Byte footprint of the checker's owned state (edge run and its merge
+  /// buffer, aging ring, incremental forest, scratch buffers, fresh-edge
+  /// ring). A pure function of the pushed round stream, so it is safe to
+  /// surface as a
   /// memory-budget gauge: identical at any engine thread count and with
   /// certification synchronous or on the async lane. Spine data held
   /// through shared owners is the adversary's allocation and is not
@@ -206,12 +215,20 @@ class TIntervalChecker {
            static_cast<std::uint32_t>(e.v);
   }
 
+  static Edge EdgeOf(std::uint64_t key) {
+    return {static_cast<NodeId>(key >> 32),
+            static_cast<NodeId>(key & 0xffffffffULL)};
+  }
+
   // --- general (delta-driven) path ---
   bool PushDeltaImpl(const TopologyDelta& delta);
+  /// Merges the delta into the run (into the spare buffer, then swapped).
+  void MergeDelta(const TopologyDelta& delta, std::int64_t r,
+                  std::int64_t threshold, std::vector<std::uint64_t>& incoming);
   void RebuildForest(std::int64_t threshold);
   void EvaluateBootstrap(std::int64_t r);
   /// Largest L <= cap with the suffix window [r-L+1, r]'s intersection
-  /// ({since <= r-L+1}) connected; 0 if even E_r is disconnected.
+  /// ({born <= r-L+1}) connected; 0 if even E_r is disconnected.
   std::int64_t LargestConnectedSuffix(std::int64_t r, std::int64_t cap);
   // --- composition path ---
   void EnsureSpineVerified(
@@ -245,13 +262,17 @@ class TIntervalChecker {
   std::int64_t min_stable_forest_;   // over complete windows (starts n-1)
   std::int64_t boot_forest_ = 0;     // last prefix-window forest (r < T)
 
-  // General path: present edges -> round they most recently (re)appeared.
-  std::unordered_map<std::uint64_t, std::int64_t> since_;
-  /// Ring of T buckets: edges added at round s land in bucket
+  // General path: the present edges as a run sorted by key, with the
+  // round each most recently (re)appeared in the parallel `run_born_`
+  // (32-bit: PushDeltaImpl rejects streams past 2^31 rounds). The spare
+  // pair is the merge target, swapped in every round.
+  std::vector<std::uint64_t> run_keys_, spare_keys_;
+  std::vector<std::uint32_t> run_born_, spare_born_;
+  /// Ring of T buckets: the (sorted) keys added at round s land in bucket
   /// (s + T - 1) % T and are tested for aging into the stable set at round
   /// s + T - 1. Stale entries (edge removed or re-added meanwhile) are
-  /// filtered by re-checking `since_`.
-  std::vector<std::vector<Edge>> aging_;
+  /// filtered by re-checking the run's birth round.
+  std::vector<std::vector<std::uint64_t>> aging_;
   std::int64_t stable_count_ = 0;
   IncrementalForest forest_;
   UnionFind scratch_uf_{1};

@@ -1166,6 +1166,16 @@ class Engine final : private AdversaryView {
     // or a trace recorder forces deltas anyway.
     use_composition_ = checker_.has_value() && adversary_.has_composition() &&
                        rec_ == nullptr && options_.record_trace == nullptr;
+    if (checker_.has_value()) {
+      stats_.checker_path =
+          use_composition_ ? CheckerPath::kComposition : CheckerPath::kGeneral;
+      stats_.checker_path_reason =
+          use_composition_ ? "adversary publishes a composition"
+          : !adversary_.has_composition()
+              ? "adversary publishes no composition"
+          : rec_ != nullptr ? "recorder attached"
+                            : "trace recorder attached";
+    }
     // Deltas are materialized whenever something consumes them: the
     // streaming validator (unless it rides the composition fast path) or a
     // trace recorder. With consumers attached the adversary's

@@ -5,6 +5,18 @@
 
 namespace sdn::net {
 
+const char* ToString(CheckerPath path) {
+  switch (path) {
+    case CheckerPath::kOff:
+      return "off";
+    case CheckerPath::kComposition:
+      return "composition";
+    case CheckerPath::kGeneral:
+      return "general";
+  }
+  return "?";
+}
+
 double EngineTimings::TotalSeconds() const {
   return static_cast<double>(total_ns) * 1e-9;
 }
@@ -65,6 +77,8 @@ std::string RunStats::OneLine() const {
       os << " firstBadWindow=" << tinterval_first_bad_window;
     }
   }
+  os << " checker=" << ToString(checker_path) << "(" << checker_path_reason
+     << ")";
   if (timings.total_ns > 0) {
     os << " rounds/s=" << static_cast<std::int64_t>(
         timings.RoundsPerSec(rounds));
@@ -80,6 +94,11 @@ std::string RunStats::OneLine() const {
   if (!anomalies.empty()) os << " anomalies=" << anomalies.size();
   if (recorder_dropped > 0) os << " drops=" << recorder_dropped;
   return os.str();
+}
+
+obs::InfoSeries RunStats::CheckerInfo() const {
+  return {"checker",
+          {{"path", ToString(checker_path)}, {"reason", checker_path_reason}}};
 }
 
 }  // namespace sdn::net

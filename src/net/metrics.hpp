@@ -14,6 +14,7 @@
 
 #include "net/flooding.hpp"
 #include "obs/anomaly.hpp"
+#include "obs/openmetrics.hpp"
 #include "obs/registry.hpp"
 
 namespace sdn::net {
@@ -68,6 +69,15 @@ struct BandwidthViolation {
   std::int64_t bits = 0;
 };
 
+/// Which T-interval checker certified a run (RunStats::checker_path).
+enum class CheckerPath {
+  kOff,          // validation disabled: no certification ran
+  kComposition,  // witness ids from the adversary's RoundComposition
+  kGeneral,      // the delta-driven checker over the full round stream
+};
+
+[[nodiscard]] const char* ToString(CheckerPath path);
+
 /// One subsystem's byte accounting in RunStats (from util::MemoryBudget).
 struct MemoryUse {
   std::string subsystem;
@@ -121,6 +131,12 @@ struct RunStats {
   /// Minimum stable-forest size over complete windows (n-1 while ok);
   /// -1 when unvalidated.
   std::int64_t min_stable_forest = -1;
+  /// The checker path the engine chose at start-up and why: "validation
+  /// disabled", "adversary publishes a composition", "adversary publishes
+  /// no composition", "recorder attached" or "trace recorder attached"
+  /// (attached recorders read the general path's per-round deltas).
+  CheckerPath checker_path = CheckerPath::kOff;
+  std::string checker_path_reason = "validation disabled";
 
   FloodingSummary flooding;
 
@@ -157,6 +173,8 @@ struct RunStats {
   /// Total bits divided by (nodes × rounds): per-node per-round bandwidth.
   [[nodiscard]] double BitsPerNodeRound(std::int64_t num_nodes) const;
   [[nodiscard]] std::string OneLine() const;
+  /// The checker path as an OpenMetrics info series (`sdn_checker_info`).
+  [[nodiscard]] obs::InfoSeries CheckerInfo() const;
 };
 
 }  // namespace sdn::net

@@ -55,7 +55,8 @@ std::string OpenMetricsName(const std::string& name) {
 
 std::string RenderOpenMetrics(const MetricsSnapshot& snapshot,
                               std::span<const MemorySeries> memory,
-                              std::span<const AnomalyRecord> anomalies) {
+                              std::span<const AnomalyRecord> anomalies,
+                              std::span<const InfoSeries> info) {
   std::string out;
   out.reserve(4096);
   for (const MetricSample& s : snapshot.samples) {
@@ -107,16 +108,28 @@ std::string RenderOpenMetrics(const MetricsSnapshot& snapshot,
            per_rule[static_cast<std::size_t>(r)]);
     }
   }
+  for (const InfoSeries& i : info) {
+    const std::string name = OpenMetricsName(i.name);
+    out += "# TYPE " + name + " info\n";
+    std::string series = name + "_info{";
+    for (std::size_t k = 0; k < i.labels.size(); ++k) {
+      if (k > 0) series += ',';
+      series += i.labels[k].first + "=\"" +
+                EscapeLabel(i.labels[k].second) + "\"";
+    }
+    Line(out, series + "}", 1);
+  }
   out += "# EOF\n";
   return out;
 }
 
 bool WriteOpenMetrics(const std::string& path, const MetricsSnapshot& snapshot,
                       std::span<const MemorySeries> memory,
-                      std::span<const AnomalyRecord> anomalies) {
+                      std::span<const AnomalyRecord> anomalies,
+                      std::span<const InfoSeries> info) {
   std::ofstream os(path, std::ios::trunc);
   if (!os) return false;
-  os << RenderOpenMetrics(snapshot, memory, anomalies);
+  os << RenderOpenMetrics(snapshot, memory, anomalies, info);
   return static_cast<bool>(os);
 }
 

@@ -16,12 +16,16 @@
 //   - memory gauges: `sdn_memory_bytes{subsystem="...",stat="current|peak"}`
 //   - anomaly records: `sdn_anomaly_records{rule="..."}` (the registry's
 //     `sdn_anomalies_total` counter rides through the snapshot as well)
+//   - info series: `sdn_<name>_info{label="..."} 1` (e.g. the checker path
+//     a run certified on, net::RunStats::CheckerInfo)
 // The exposition ends with the `# EOF` terminator the format requires.
 #pragma once
 
 #include <cstdint>
 #include <span>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "obs/anomaly.hpp"
 #include "obs/registry.hpp"
@@ -36,18 +40,26 @@ struct MemorySeries {
   std::int64_t peak_bytes = 0;
 };
 
+/// One OpenMetrics info series: constant 1, the facts carried as labels.
+struct InfoSeries {
+  std::string name;
+  std::vector<std::pair<std::string, std::string>> labels;
+};
+
 /// `sdn_`-prefixed metric name with every invalid character mapped to '_'.
 std::string OpenMetricsName(const std::string& name);
 
 std::string RenderOpenMetrics(const MetricsSnapshot& snapshot,
                               std::span<const MemorySeries> memory = {},
-                              std::span<const AnomalyRecord> anomalies = {});
+                              std::span<const AnomalyRecord> anomalies = {},
+                              std::span<const InfoSeries> info = {});
 
 /// False (and nothing written) if the file cannot be opened. The write goes
 /// to `path` in one pass, so a scraper that reads between writes sees at
 /// worst a truncated exposition, never an interleaved one.
 bool WriteOpenMetrics(const std::string& path, const MetricsSnapshot& snapshot,
                       std::span<const MemorySeries> memory = {},
-                      std::span<const AnomalyRecord> anomalies = {});
+                      std::span<const AnomalyRecord> anomalies = {},
+                      std::span<const InfoSeries> info = {});
 
 }  // namespace sdn::obs

@@ -15,6 +15,7 @@
 #include "graph/generators.hpp"
 #include "graph/tinterval.hpp"
 #include "net/trace.hpp"
+#include "obs/openmetrics.hpp"
 #include "obs/recorder.hpp"
 #include "util/check.hpp"
 
@@ -781,6 +782,56 @@ TEST(Engine, CertifiedTAndFirstBadWindowRecorded) {
   EXPECT_FALSE(stats.tinterval_ok);
   EXPECT_EQ(stats.certified_T, 1);
   EXPECT_EQ(stats.tinterval_first_bad_window, 0);
+}
+
+TEST(Engine, ReportsWhichCheckerPathRanAndWhy) {
+  // A composition-publishing adversary certifies on the witness path until
+  // a flight recorder is attached; the recorder reads the general path's
+  // per-round deltas, and RunStats, OneLine and the OpenMetrics info
+  // series all say so.
+  adversary::AdversaryConfig config;
+  config.kind = "spine-gnp";
+  config.n = 32;
+  config.T = 2;
+  config.seed = 5;
+  const auto run = [&](obs::FlightRecorder* rec, bool validate) {
+    const auto adv = adversary::MakeAdversary(config);
+    std::vector<InboxCounter> nodes(32, InboxCounter(8));
+    EngineOptions opts;
+    opts.recorder = rec;
+    opts.validate_tinterval = validate;
+    Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
+    return engine.Run();
+  };
+  const RunStats plain = run(nullptr, true);
+  EXPECT_EQ(plain.checker_path, CheckerPath::kComposition);
+  EXPECT_EQ(plain.checker_path_reason, "adversary publishes a composition");
+
+  obs::FlightRecorder rec;
+  const RunStats traced = run(&rec, true);
+  EXPECT_EQ(traced.checker_path, CheckerPath::kGeneral);
+  EXPECT_EQ(traced.checker_path_reason, "recorder attached");
+  EXPECT_EQ(traced.certified_T, plain.certified_T);
+  EXPECT_NE(traced.OneLine().find("checker=general(recorder attached)"),
+            std::string::npos)
+      << traced.OneLine();
+  const obs::InfoSeries info[] = {traced.CheckerInfo()};
+  EXPECT_NE(obs::RenderOpenMetrics({}, {}, {}, info)
+                .find("# TYPE sdn_checker info\n"
+                      "sdn_checker_info{path=\"general\","
+                      "reason=\"recorder attached\"} 1\n"),
+            std::string::npos);
+
+  const RunStats off = run(nullptr, false);
+  EXPECT_EQ(off.checker_path, CheckerPath::kOff);
+  EXPECT_EQ(off.checker_path_reason, "validation disabled");
+
+  FlickerAdversary flicker;  // publishes no composition
+  std::vector<InboxCounter> nodes(4, InboxCounter(4));
+  Engine<InboxCounter> engine(std::move(nodes), flicker, {});
+  const RunStats general = engine.Run();
+  EXPECT_EQ(general.checker_path, CheckerPath::kGeneral);
+  EXPECT_EQ(general.checker_path_reason, "adversary publishes no composition");
 }
 
 TEST(Engine, CertifiedTEqualsTOnHonestRuns) {

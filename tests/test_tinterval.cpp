@@ -5,9 +5,15 @@
 #include <algorithm>
 #include <array>
 #include <cstdint>
+#include <cstdio>
+#include <cstdlib>
+#include <functional>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <span>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "graph/delta.hpp"
@@ -415,6 +421,220 @@ TEST(TIntervalChecker, SpineCachePinsPublishedBuffer) {
   again.core_id = 7;
   again.core_owner = pinned;
   EXPECT_TRUE(checker.PushComposition(again, round));
+}
+
+/// Named randomized test (the MathGeoLib AddRandomizedTest idiom): the seed
+/// and repeat count are printed before the run and attached to every
+/// failure, and repeat `rep` draws from Rng(seed + rep) alone, so one
+/// failing repeat replays in isolation. SDN_FUZZ_SEED overrides the seed.
+void RunRandomized(const char* name, std::uint64_t seed, int repeats,
+                   const std::function<void(util::Rng&)>& body) {
+  if (const char* env = std::getenv("SDN_FUZZ_SEED");
+      env != nullptr && *env != '\0') {
+    seed = std::strtoull(env, nullptr, 0);
+  }
+  std::printf("[ RANDOM   ] %s seed=%llu repeats=%d\n", name,
+              static_cast<unsigned long long>(seed), repeats);
+  for (int rep = 0; rep < repeats; ++rep) {
+    SCOPED_TRACE(::testing::Message()
+                 << name << " seed=" << seed << " repeat=" << rep);
+    util::Rng rng(seed + static_cast<std::uint64_t>(rep));
+    body(rng);
+  }
+}
+
+/// Edges of the intersection of rounds [from, to] (0-based, inclusive).
+std::int64_t IntersectionSize(std::span<const Graph> seq, std::size_t from,
+                              std::size_t to) {
+  return EdgeIntersection(seq.subspan(from, to - from + 1)).num_edges();
+}
+
+/// A random spanning tree over the listed nodes.
+std::vector<Edge> TreeOver(std::span<const NodeId> nodes, util::Rng& rng) {
+  std::vector<Edge> edges;
+  for (std::size_t i = 1; i < nodes.size(); ++i) {
+    const NodeId parent = nodes[rng.UniformU64(i)];
+    edges.emplace_back(parent, nodes[i]);
+  }
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
+/// Streams at the T-interval promise boundary on n nodes. Two shapes:
+///  * bridge: two halves, each spanned by a persistent tree, joined by one
+///    bridge edge that leaves for exactly one round now and then (a second
+///    bridge sometimes covers the gap), so windows fail exactly when they
+///    straddle an uncovered gap;
+///  * spine swap: a fresh spanning tree every `era` rounds with `overlap`
+///    rounds of both trees at each swap, era and overlap drawn around T so
+///    the swaps land exactly on window edges.
+/// Both add a few volatile extras per round.
+std::vector<Graph> BoundaryStream(NodeId n, int T, int len, util::Rng& rng) {
+  std::vector<Graph> seq;
+  std::vector<Edge> round_edges;
+  std::vector<Edge> scratch;
+  if (rng.Bernoulli(0.5)) {
+    std::vector<NodeId> left;
+    std::vector<NodeId> right;
+    for (NodeId u = 0; u < n; ++u) (u < n / 2 ? left : right).push_back(u);
+    std::vector<Edge> halves;
+    UnionSorted(TreeOver(left, rng), TreeOver(right, rng), halves);
+    const Edge bridge(left[rng.UniformU64(left.size())],
+                      right[rng.UniformU64(right.size())]);
+    const Edge spare(left[rng.UniformU64(left.size())],
+                     right[rng.UniformU64(right.size())]);
+    bool spare_on = false;
+    for (int r = 0; r < len; ++r) {
+      if (rng.Bernoulli(0.3)) spare_on = !spare_on;
+      std::vector<Edge> links;
+      if (!rng.Bernoulli(0.25)) links.push_back(bridge);
+      if (spare_on && !(spare == bridge)) links.push_back(spare);
+      std::sort(links.begin(), links.end());
+      UnionSorted(halves, links, scratch);
+      UnionSorted(scratch,
+                  RandomEdges(n, static_cast<int>(rng.UniformU64(3)), rng),
+                  round_edges);
+      seq.emplace_back(n, std::span<const Edge>(round_edges));
+    }
+    return seq;
+  }
+  std::vector<NodeId> all(static_cast<std::size_t>(n));
+  std::iota(all.begin(), all.end(), NodeId{0});
+  const int era = std::max(1, T - 1 + static_cast<int>(rng.UniformU64(3)));
+  const int overlap = static_cast<int>(
+      rng.UniformU64(static_cast<std::uint64_t>(std::min(T, era + 1))));
+  std::vector<Edge> spine = TreeOver(all, rng);
+  std::vector<Edge> previous;
+  int in_era = 0;
+  for (int r = 0; r < len; ++r) {
+    if (in_era == era) {
+      previous = spine;
+      spine = TreeOver(all, rng);
+      in_era = 0;
+    }
+    const bool both = r >= era && in_era < overlap;
+    UnionSorted(spine, both ? previous : std::vector<Edge>{}, scratch);
+    UnionSorted(scratch,
+                RandomEdges(n, static_cast<int>(rng.UniformU64(3)), rng),
+                round_edges);
+    seq.emplace_back(n, std::span<const Edge>(round_edges));
+    ++in_era;
+  }
+  return seq;
+}
+
+TEST(TIntervalChecker, RandomizedPromiseBoundaryMatchesBatch) {
+  // Differential fuzz of the streaming checker (both the Push and PushDelta
+  // feeds) against batch ValidateTInterval, T in 1..8, on streams sitting
+  // at the promise boundary. After every round the verdict, certified T,
+  // forest minimum and stable-set size are compared against the batch
+  // answer for the prefix seen so far.
+  RunRandomized("PromiseBoundary", 0x5eed1357, 160, [](util::Rng& rng) {
+    const NodeId n = 4 + static_cast<NodeId>(rng.UniformU64(9));
+    const int T = 1 + static_cast<int>(rng.UniformU64(8));
+    const int len = 1 + static_cast<int>(rng.UniformU64(
+                            static_cast<std::uint64_t>(3 * T + 6)));
+    const std::vector<Graph> seq = BoundaryStream(n, T, len, rng);
+    TIntervalChecker push_checker(n, T);
+    TIntervalChecker delta_checker(n, T);
+    Graph prev(n);
+    for (std::size_t r = 0; r < seq.size(); ++r) {
+      SCOPED_TRACE(::testing::Message() << "n=" << n << " T=" << T
+                                        << " round=" << r + 1);
+      (void)push_checker.Push(seq[r]);
+      (void)delta_checker.PushDelta(Diff(prev, seq[r]));
+      prev = seq[r];
+      const std::span<const Graph> prefix(seq.data(), r + 1);
+      const auto batch = ValidateTInterval(prefix, T);
+      const std::int64_t stable =
+          static_cast<int>(r) + 1 >= T
+              ? IntersectionSize(prefix, r + 1 - static_cast<std::size_t>(T),
+                                 r)
+              : 0;
+      for (const TIntervalChecker* c : {&push_checker, &delta_checker}) {
+        // ok()/first_bad_window() judge complete windows only; a prefix
+        // shorter than T shows up in certified_T and the forest instead.
+        if (static_cast<int>(r) + 1 >= T) {
+          EXPECT_EQ(c->ok(), batch.ok);
+          EXPECT_EQ(c->first_bad_window(), batch.first_bad_window);
+        }
+        EXPECT_EQ(c->certified_T(), BatchCertifiedT(prefix, T));
+        EXPECT_EQ(c->min_stable_forest(), batch.min_stable_forest);
+        EXPECT_EQ(c->stable_edge_count(), stable);
+      }
+    }
+  });
+}
+
+/// Runs `bad` as round 3 after two well-formed rounds on a 6-node path and
+/// returns the CheckError message ("" if nothing was thrown).
+std::string DeltaErrorAtRound3(const TopologyDelta& bad) {
+  TIntervalChecker checker(6, 2);
+  TopologyDelta first;
+  first.added = {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 5}};
+  EXPECT_TRUE(checker.PushDelta(first));
+  EXPECT_TRUE(checker.PushDelta(TopologyDelta{}));
+  try {
+    (void)checker.PushDelta(bad);
+  } catch (const util::CheckError& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(TIntervalChecker, DeltaContractViolationsNameEdgeAndRound) {
+  TopologyDelta removes_absent;
+  removes_absent.removed = {{0, 1}, {0, 5}};
+  EXPECT_NE(DeltaErrorAtRound3(removes_absent)
+                .find("delta removes absent edge (0,5) at round 3"),
+            std::string::npos);
+  TopologyDelta adds_present;
+  adds_present.added = {{0, 4}, {2, 3}};
+  EXPECT_NE(DeltaErrorAtRound3(adds_present)
+                .find("delta adds present edge (2,3) at round 3"),
+            std::string::npos);
+}
+
+TEST(IncrementalForest, RebuildOrderDoesNotChangeConnectivity) {
+  // Rebuild inserts append their tree keys unsorted and EndRebuild sorts
+  // them once. An ascending-key rebuild (the checker's walk order) and a
+  // shuffled one must agree on connectivity and forest size, and every tree
+  // key of either must stay findable: erasing it dirties the forest.
+  RunRandomized("RebuildOrder", 0xf0e57, 40, [](util::Rng& rng) {
+    const NodeId n = 2 + static_cast<NodeId>(rng.UniformU64(30));
+    const std::vector<Edge> edges = RandomEdges(
+        n, static_cast<int>(rng.UniformU64(2 * static_cast<std::uint64_t>(n))),
+        rng);
+    const auto key = [](const Edge& e) {
+      return (static_cast<std::uint64_t>(e.u) << 32) |
+             static_cast<std::uint64_t>(e.v);
+    };
+    std::vector<Edge> shuffled = edges;
+    std::shuffle(shuffled.begin(), shuffled.end(), rng);
+    IncrementalForest ascending(n);
+    IncrementalForest scrambled(n);
+    const auto rebuild = [&](IncrementalForest& forest,
+                             const std::vector<Edge>& order) {
+      forest.BeginRebuild();
+      for (const Edge& e : order) forest.Insert(e.u, e.v, key(e));
+      forest.EndRebuild();
+    };
+    rebuild(ascending, edges);
+    rebuild(scrambled, shuffled);
+    ASSERT_FALSE(scrambled.dirty());
+    EXPECT_EQ(scrambled.connected(), ascending.connected());
+    EXPECT_EQ(scrambled.forest_size(), ascending.forest_size());
+    EXPECT_EQ(scrambled.tree_edges(), scrambled.forest_size());
+    for (const IncrementalForest* forest : {&ascending, &scrambled}) {
+      std::int64_t tree_hits = 0;
+      for (const Edge& e : edges) {
+        IncrementalForest probe = *forest;
+        probe.Erase(key(e));
+        tree_hits += probe.dirty() ? 1 : 0;
+      }
+      EXPECT_EQ(tree_hits, forest->tree_edges());
+    }
+  });
 }
 
 }  // namespace

@@ -110,12 +110,6 @@ CensusProgram::Position CensusProgram::LocateFast(Round r) const {
   return pos;
 }
 
-std::optional<CensusProgram::Message> CensusProgram::OnSend(Round r) {
-  std::optional<Message> m(std::in_place);
-  if (!OnSendInto(r, *m)) return std::nullopt;
-  return m;
-}
-
 bool CensusProgram::OnSendInto(Round r, Message& m) {
   if (decided_.has_value()) return false;
   const Position pos = LocateFast(r);
@@ -174,7 +168,7 @@ void CensusProgram::OnReceive(Round r, Inbox<Message> inbox) {
   if (pos.verifying) {
     SDN_CHECK_MSG(verify_key_ == pos.guess_k,
                   "verification state not initialized (engine must call "
-                  "OnSend before OnReceive)");
+                  "OnSendInto before OnReceive)");
     for (const Message& m : inbox) {
       if (m.tag != Tag::kVerify) continue;
       if (m.hash != frozen_hash_ || !m.flag) flag_ = false;

@@ -76,8 +76,7 @@ class CensusProgram {
 
   CensusProgram(NodeId id, Value input, CensusOptions options);
 
-  std::optional<Message> OnSend(Round r);
-  /// Direct-send path (net::DirectSendProgram): composes the round's
+  /// Send (net::NodeProgram): composes the round's
   /// message straight into `m`, overwriting every field (the slot is
   /// reused across rounds). The window caches it refreshes (verify hash
   /// freeze, per-window sent set) are keyed by the round's schedule
@@ -107,7 +106,7 @@ class CensusProgram {
 
   /// Cursor-accelerated Locate: same result for every r (tests pin the
   /// equivalence), O(1) amortized when rounds are queried in order.
-  /// OnSend/OnReceive go through this.
+  /// OnSendInto/OnReceive go through this.
   [[nodiscard]] Position LocateFast(Round r) const;
 
   /// Flight-recorder phase sample (net::ObservableProgram): label is the

@@ -12,12 +12,6 @@ FloodMaxKnownN::FloodMaxKnownN(NodeId id, NodeId n, Value input)
   if (n_ <= 1) decided_ = best_;
 }
 
-std::optional<FloodMaxKnownN::Message> FloodMaxKnownN::OnSend(Round r) {
-  std::optional<Message> m(std::in_place);
-  if (!OnSendInto(r, *m)) return std::nullopt;
-  return m;
-}
-
 bool FloodMaxKnownN::OnSendInto(Round, Message& m) {
   if (decided_.has_value()) return false;
   m = Message{best_};
@@ -43,13 +37,6 @@ ConsensusFloodKnownN::ConsensusFloodKnownN(NodeId id, NodeId n, Value input)
     : n_(n), leader_(id), leader_value_(input) {
   SDN_CHECK(id >= 0 && id < n);
   if (n_ <= 1) decided_ = leader_value_;
-}
-
-std::optional<ConsensusFloodKnownN::Message> ConsensusFloodKnownN::OnSend(
-    Round r) {
-  std::optional<Message> m(std::in_place);
-  if (!OnSendInto(r, *m)) return std::nullopt;
-  return m;
 }
 
 bool ConsensusFloodKnownN::OnSendInto(Round, Message& m) {

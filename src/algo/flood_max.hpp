@@ -24,9 +24,8 @@ class FloodMaxKnownN {
 
   FloodMaxKnownN(NodeId id, NodeId n, Value input);
 
-  std::optional<Message> OnSend(Round r);
-  /// Direct-send path (net::DirectSendProgram): overwrites the whole slot,
-  /// reads only `best_` — trivially safe to call speculatively.
+  /// Send (net::NodeProgram): overwrites the whole slot, reads only
+  /// `best_` — trivially safe to call speculatively.
   bool OnSendInto(Round r, Message& m);
   void OnReceive(Round r, Inbox<Message> inbox);
   [[nodiscard]] bool HasDecided() const { return decided_.has_value(); }
@@ -68,9 +67,8 @@ class ConsensusFloodKnownN {
 
   ConsensusFloodKnownN(NodeId id, NodeId n, Value input);
 
-  std::optional<Message> OnSend(Round r);
-  /// Direct-send path (net::DirectSendProgram): overwrites the whole slot,
-  /// reads only the leader pair — trivially safe to call speculatively.
+  /// Send (net::NodeProgram): overwrites the whole slot, reads only the
+  /// leader pair — trivially safe to call speculatively.
   bool OnSendInto(Round r, Message& m);
   void OnReceive(Round r, Inbox<Message> inbox);
   [[nodiscard]] bool HasDecided() const { return decided_.has_value(); }

@@ -143,12 +143,6 @@ void HjswyProgram::RefreshCensusSnapshot() {
   census_snapshot_ = std::make_shared<const IdSet>(census_);
 }
 
-std::optional<HjswyProgram::Message> HjswyProgram::OnSend(Round r) {
-  std::optional<Message> m(std::in_place);
-  OnSendInto(r, *m);
-  return m;
-}
-
 bool HjswyProgram::OnSendInto(Round r, Message& m) {
   // Decided nodes keep broadcasting their (final) state: laggards must still
   // converge to the same aggregates, and a decided region must not look like

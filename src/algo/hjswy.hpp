@@ -137,10 +137,9 @@ class HjswyProgram {
     return options.track_sum ? 2 * options.sketch_len : options.sketch_len;
   }
 
-  std::optional<Message> OnSend(Round r);
-  /// Zero-copy send (net::DirectSendProgram): writes the round-r message
+  /// Zero-copy send (net::NodeProgram): writes the round-r message
   /// straight into `m` — typically the engine's outbox slot — and returns
-  /// whether a message was produced (hjswy always sends; see OnSend).
+  /// whether a message was produced (hjswy always sends).
   /// Overwrites every field a reader may touch (including clearing `census`
   /// when exact_census is off), so a reused slot never leaks a stale field;
   /// only coords/sum_coords lanes at index >= num_coords keep old bytes,
@@ -167,7 +166,7 @@ class HjswyProgram {
   /// Cursor-accelerated Locate: same result for every r (tests pin the
   /// equivalence), O(1) amortized when rounds are queried in order — the
   /// schedule math (ceil/log2 per candidate phase) runs only on a phase
-  /// advance instead of on every call. OnSend/OnReceive go through this.
+  /// advance instead of on every call. OnSendInto/OnReceive go through this.
   [[nodiscard]] Position LocateFast(Round r) const;
 
   [[nodiscard]] std::int64_t DisseminationLength(std::int64_t horizon) const;

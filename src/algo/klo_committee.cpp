@@ -135,13 +135,6 @@ void KloCommitteeProgram::ResetForGuess(std::int64_t k) {
   size_claim_ = 0;
 }
 
-std::optional<KloCommitteeProgram::Message> KloCommitteeProgram::OnSend(
-    Round r) {
-  std::optional<Message> m(std::in_place);
-  if (!OnSendInto(r, *m)) return std::nullopt;
-  return m;
-}
-
 bool KloCommitteeProgram::OnSendInto(Round r, Message& m) {
   if (decided_.has_value()) return false;
   const Position pos = LocateFast(r);

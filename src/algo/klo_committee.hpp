@@ -58,8 +58,7 @@ class KloCommitteeProgram {
 
   KloCommitteeProgram(NodeId id, Value input);
 
-  std::optional<Message> OnSend(Round r);
-  /// Direct-send path (net::DirectSendProgram): composes the round's
+  /// Send (net::NodeProgram): composes the round's
   /// message straight into `m`, overwriting every field. Its cycle-keyed
   /// state transitions (poll seed, invite issue, verify init) fire by
   /// schedule position, so a trailing speculative call advances only state
@@ -92,7 +91,7 @@ class KloCommitteeProgram {
 
   /// Cursor-accelerated Locate: same result for every r (tests pin the
   /// equivalence), O(1) amortized when rounds are queried in order.
-  /// OnSend/OnReceive go through this.
+  /// OnSendInto/OnReceive go through this.
   [[nodiscard]] Position LocateFast(Round r) const;
 
   /// Flight-recorder phase sample (net::ObservableProgram): label is the

@@ -2,230 +2,73 @@
 //
 // One Engine executes one algorithm instance (a vector of node programs)
 // against one adversary. Per round it:
-//   1. asks the adversary for G_r (and streams it through the T-interval
-//      checker and the flooding probes),
-//   2. collects every node's OnSend message, enforcing the bandwidth budget,
+//   1. has its RoundDriver build G_r and stream it through the T-interval
+//      checker and the flooding probes,
+//   2. collects every node's OnSendInto message, enforcing the bandwidth
+//      budget,
 //   3. delivers to each node the messages of its G_r-neighbors,
 //   4. records decisions.
 // The run ends when every node has decided or `max_rounds` is hit (the
 // latter sets RunStats::hit_max_rounds so truncated runs are never mistaken
 // for fast convergence).
 //
-// The engine is templated on the node-program type so messages are plain
-// typed values (no serialization on the hot path); bit accounting goes
-// through the program's static MessageBits, which must report the size an
-// actual encoding would spend.
-//
-// Delivery is zero-copy: each round's messages live once in the reusable
-// raw outbox (one Message per node plus a sent-flag byte array — silentness
-// lives outside the message, so the gather never touches message cache
-// lines). Programs satisfying DirectSendProgram compose their message in
-// place in the outbox slot; others go through OnSend's optional-return path
-// with one move into the slot. The inbox backing is a pure function of the
-// send flags: on rounds where every node sent, each receiver's Inbox is the
-// topology's own CSR neighbor-id span indexing the outbox directly (dense —
-// no per-receiver gather at all); rounds with silent nodes gather pointers
-// to the flagged slots, because dense indexing would expose dead slots.
-// Both paths software-prefetch each receiver's message cache lines ahead of
-// its OnReceive (the outbox reads are data-dependent scatters the hardware
-// prefetcher cannot predict). Every phase of Step() is wall-clocked into
-// RunStats::timings.
-//
-// Topology is delta-driven: the engine asks the adversary for the
-// round-over-round TopologyDelta and applies it to one in-place DynGraph
-// instead of materializing a fresh Graph per round; the streaming
-// T-interval checker consumes the same delta. When per-round churn (EWMA of
-// |delta| / |E|, hysteresis band below) is high enough that patching loses
-// to rebuilding, the engine flips to the direct-assignment path —
-// RoundEdgesInto straight into the DynGraph's edit buffer — and derives the
-// delta consumers still need with one DiffSorted; a checker or trace
-// recorder therefore sees every round's delta on either sub-path
-// (asserted). The produced topology sequence equals what
-// Adversary::TopologyFor builds from scratch (the DeltaFor contract in
-// net/adversary.hpp), which the tests use as the reference.
-//
-// Certification picks its checker input automatically: an adversary that
-// publishes Composition() claims is certified by witness identity (no delta
-// materialized), unless a flight recorder or trace recorder is attached —
-// those read the delta-driven checker's state or need deltas anyway. Both
-// inputs yield the same verdicts (the tests compare the witness path with a
-// PushDelta replay of the same adversary).
+// Engine<A> holds only what depends on the program type: the nodes, the
+// outbox, the send/deliver shard loops and the decision books. Everything
+// else — topology, certification, probes, the aux lanes, memory gauges,
+// timings and the observability sinks — is the non-template
+// net::RoundDriver (net/round_driver.hpp), compiled once. Messages are plain
+// typed values (no serialization on the hot path), delivered zero-copy from
+// a raw per-node outbox (net/program.hpp describes the layout); bit
+// accounting goes through the program's static MessageBits, which must
+// report the size an actual encoding would spend.
 //
 // Parallel execution (EngineOptions::threads): the send and deliver phases
-// are embarrassingly parallel over nodes — OnSend(u) touches only node u and
-// its outbox slot, OnReceive(u) reads the shared outbox (immutable during
-// the phase) and mutates only node u. Both phases run on the shared
-// work-stealing pool over contiguous node *shards* whose boundaries depend
-// only on n; each shard fills its own accumulator, and the accumulators are
-// merged in shard (= ascending node) order after the phase barrier. Every
-// merged quantity is either per-node (disjoint writes) or an
-// order-independent integer reduction, so results are bit-identical at any
-// thread count — docs/PERF.md spells out the argument.
+// are embarrassingly parallel over nodes — OnSendInto(u) touches only node
+// u and its outbox slot, OnReceive(u) reads the shared outbox (immutable
+// during the phase) and mutates only node u. Both phases run over the
+// driver's node shards, whose boundaries depend only on n; each shard fills
+// its own accumulator, and the accumulators are merged in shard (=
+// ascending node) order after the phase barrier. Every merged quantity is
+// either per-node (disjoint writes) or an order-independent integer
+// reduction, so results are bit-identical at any thread count —
+// docs/PERF.md spells out the argument.
 //
-// Software pipelining (EngineOptions::{prefetch_topology,
-// async_certification, fused_send_deliver}, all individually toggleable,
-// all on by default; docs/PERF.md "Pipelining"): the deliver phase is the
-// round's long pole, and three independent overlaps hide the rest of the
-// round behind it. (1) Topology prefetch — for oblivious adversaries a
-// persistent auxiliary lane (util::AuxLane) computes round r+1's
-// delta/edge list concurrently with round r's deliver; calls stay
-// sequential and in round order, so the produced graph sequence is
-// unchanged. (2) Asynchronous certification — the T-interval checker
-// consumes owned copies of each round's delta or composition claim on a
-// second bounded lane, with a deterministic rendezvous (stats() drains the
-// lane) before any verdict is read; fail-fast runs keep the synchronous
-// checker so an abort lands at the same round as the serial engine.
-// (3) Fused send/deliver — DirectSendProgram nodes compose round r+1's
-// message immediately after their round-r OnReceive, into the inactive
-// half of a double-buffered outbox; the buffers flip in round r+1's send
-// window, after validate/probes, so an abort discards the staged round and
-// the books match the serial engine's exactly. Every overlap preserves
-// bit-identical RunStats (test_determinism's overlap matrix pins it);
-// EngineTimings::aux_*_ns report the overlapped work for the
-// critical-path-vs-sum-of-phases efficiency ratio.
+// Fused send/deliver (EngineOptions::fused_send_deliver) stages round r+1's
+// messages inside round r's deliver pass; with the driver's two lanes it
+// makes up the pipelined round (docs/PERF.md "Pipelining").
 #pragma once
 
 #include <algorithm>
-#include <array>
-#include <chrono>
-#include <cstdlib>
+#include <cstdint>
 #include <memory>
 #include <optional>
 #include <span>
-#include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "graph/delta.hpp"
-#include "graph/tinterval.hpp"
 #include "net/adversary.hpp"
-#include "net/bandwidth.hpp"
 #include "net/metrics.hpp"
 #include "net/program.hpp"
-#include "net/trace.hpp"
-#include "obs/anomaly.hpp"
-#include "obs/recorder.hpp"
-#include "obs/registry.hpp"
+#include "net/round_driver.hpp"
 #include "util/arena.hpp"
 #include "util/check.hpp"
-#include "util/rng.hpp"
-#include "util/thread_pool.hpp"
 
 namespace sdn::net {
-
-struct EngineOptions {
-  std::int64_t max_rounds = 2'000'000;
-  BandwidthPolicy bandwidth = BandwidthPolicy::Unbounded();
-  /// Verify the adversary's T-interval promise while running. When off, no
-  /// checker is even constructed and RunStats::tinterval_validated is false
-  /// (tinterval_ok is then vacuous, not a verified promise).
-  bool validate_tinterval = true;
-  /// Stop the run at the first T-interval violation: the engine records
-  /// the violating window in RunStats::tinterval_first_bad_window, marks
-  /// the run finished and throws CheckError from Step() — same shape as a
-  /// bandwidth violation. Off by default: the checker keeps streaming and
-  /// the verdict lands in RunStats at the end.
-  bool fail_fast_on_tinterval = false;
-  /// Number of concurrent flooding probes (node 0 plus random sources) used
-  /// to measure d alongside the run. 0 disables measurement. Probe start
-  /// rounds are staggered: when a probe completes at round c, its slot
-  /// relaunches from a fresh random source at round 2c, so d is sampled at
-  /// geometrically spaced start rounds across the whole run (DESIGN.md §1
-  /// defines d as a max over sampled start rounds — measuring only from
-  /// round 1 underestimates d on adversaries that degrade over time).
-  int flood_probes = 4;
-  std::uint64_t probe_seed = 0x5eedULL;
-  /// Engine-internal parallelism for the send/deliver phases: 0 = hardware
-  /// concurrency, 1 = strictly serial, k = up to k lanes of the shared
-  /// work-stealing pool. Results are bit-identical at any setting (only
-  /// RunStats::timings, which measure wall clock, differ), so this is a
-  /// pure throughput knob. Small n runs serial regardless (sharding floor).
-  int threads = 0;
-  /// Overlap the next round's topology construction with this round's
-  /// deliver phase on a persistent auxiliary lane. Engages only when the
-  /// adversary is oblivious, threads > 1 and n clears the sharding floor;
-  /// the adversary still sees strictly sequential in-order calls, so
-  /// RunStats is bit-identical on or off — off is a pure A/B knob for the
-  /// pipeline benchmarks.
-  bool prefetch_topology = true;
-  /// Run the streaming T-interval checker on a bounded auxiliary
-  /// certification lane instead of the round's critical path. The lane
-  /// consumes owned copies (delta, or composition claim + round edges), so
-  /// the topology may mutate freely; stats() is the deterministic
-  /// rendezvous — it drains the lane before reading any verdict, and a
-  /// checker error (e.g. a lying composition) surfaces there instead of
-  /// mid-Step. Engages only when threads > 1 with no flight recorder (its
-  /// per-round checker track needs synchronous state) and without
-  /// fail_fast_on_tinterval (fail-fast keeps the synchronous checker so the
-  /// abort round matches the serial engine exactly).
-  /// RunStats is bit-identical on or off.
-  bool async_certification = true;
-  /// Fuse the send phase into the previous round's deliver pass:
-  /// DirectSendProgram nodes compose round r+1's message right after their
-  /// round-r OnReceive, into the inactive half of a double-buffered
-  /// outbox, killing the send-phase barrier and its outbox sweep. The
-  /// buffers flip in round r+1's send window — after validate and probes —
-  /// so staged work is discarded on abort and RunStats stays bit-identical
-  /// (the per-node call order is exactly the serial engine's; see the
-  /// speculative-call contract in net/program.hpp). Engages only for
-  /// DirectSendProgram algorithms under oblivious adversaries (adaptive
-  /// ones sample PublicState between deliver r and send r+1).
-  bool fused_send_deliver = true;
-  /// When set, every round's topology is streamed into this delta-encoded
-  /// v2 trace writer (net/trace.hpp) — recording without retaining the
-  /// graph sequence in memory. Must outlive the engine; the engine does not
-  /// Close() it.
-  TraceRecorder* record_trace = nullptr;
-  /// Flight recorder for round events (phase spans, algorithm-phase
-  /// transitions, probe lifecycle, sketch merges, checker windows,
-  /// bandwidth high-water marks). Null = the sink is off and every
-  /// emission site reduces to one predicted branch — the zero-overhead
-  /// default. Must outlive the engine. Events are emitted outside the
-  /// timed phase windows and RunStats stays bit-identical with the
-  /// recorder attached or not (test_determinism pins it).
-  obs::FlightRecorder* recorder = nullptr;
-  /// Collect per-round histograms (edges, deliveries, phase latencies)
-  /// into a metrics registry snapshotted as RunStats::metrics. Off by
-  /// default; like the recorder, off costs one branch per round.
-  bool collect_metrics = false;
-  /// Always-on anomaly plane: feed every round's phase spans, aux-lane
-  /// drain waits, memory gauges and certification state through
-  /// obs::AnomalyEngine (rolling per-phase histograms + five declarative
-  /// rules). Fired records land in RunStats::anomalies; when a flight
-  /// recorder is attached each firing also dumps a bounded
-  /// `anomaly-<round>-<rule>.jsonl` snapshot. Engages only together with
-  /// collect_metrics (the plane lives behind the same registry gate) and,
-  /// like every sink, runs after the round's final clock read — the
-  /// deterministic core of RunStats is bit-identical on or off.
-  bool anomaly = true;
-  obs::AnomalyOptions anomaly_options{};
-  /// Byte-accounting sink for the engine's deterministic allocations
-  /// (outbox slots, program array, live topology). Null = the engine uses
-  /// an internal budget, so RunStats::memory is populated either way; pass
-  /// one to aggregate engine charges with caller-side subsystems (sketch
-  /// pool, trace stream) under a single budget. Must outlive the engine.
-  /// Only size-deterministic subsystems are charged; the per-shard gather
-  /// scratch is not.
-  util::MemoryBudget* memory_budget = nullptr;
-};
 
 template <NodeProgram A>
 class Engine final : private AdversaryView {
  public:
+  using Message = typename A::Message;
+
   Engine(std::vector<A> nodes, Adversary& adversary, EngineOptions options)
       : nodes_(std::move(nodes)),
-        adversary_(adversary),
-        options_(options),
         n_(static_cast<graph::NodeId>(nodes_.size())),
-        probe_rng_(options_.probe_seed) {
+        driver_(adversary, *this, options) {
     SDN_CHECK(!nodes_.empty());
-    SDN_CHECK_MSG(adversary_.num_nodes() == n_,
-                  "adversary built for " << adversary_.num_nodes()
+    SDN_CHECK_MSG(adversary.num_nodes() == n_,
+                  "adversary built for " << adversary.num_nodes()
                                          << " nodes, got " << nodes_.size());
-    SDN_CHECK(adversary_.interval() >= 1);
-    SDN_CHECK(options_.max_rounds >= 1);
-    SDN_CHECK(options_.threads >= 0);
   }
 
   Engine(const Engine&) = delete;
@@ -235,13 +78,11 @@ class Engine final : private AdversaryView {
     // The outbox lives in the arena, which never runs element destructors;
     // message types with non-trivial state (e.g. a census shared_ptr) are
     // destroyed here — both halves of the double buffer — before the arena
-    // member releases its chunks. In-flight auxiliary-lane tasks touch
-    // only topo_/delta_/checker_ (never the outbox); the lanes are the
-    // last-declared members, so their destructors join before anything
-    // they read dies.
-    if constexpr (!std::is_trivially_destructible_v<typename A::Message>) {
-      for (std::span<typename A::Message> buf : outbox_bufs_) {
-        for (typename A::Message& m : buf) std::destroy_at(&m);
+    // member releases its chunks. The driver's lanes never touch the
+    // outbox.
+    if constexpr (!std::is_trivially_destructible_v<Message>) {
+      for (std::span<Message> buf : outbox_) {
+        for (Message& m : buf) std::destroy_at(&m);
       }
     }
   }
@@ -251,468 +92,152 @@ class Engine final : private AdversaryView {
   /// (after recording RunStats::bandwidth_violation) when a node's message
   /// exceeds the bandwidth budget; the run is then finished and failed.
   bool Step() {
-    using Clock = std::chrono::steady_clock;
-    EnsureStarted();
-    if (finished_) return false;
-    aux_wait_ns_round_ = 0;
+    if (!driver_.started()) Start();
+    if (driver_.finished()) return false;
+    const graph::Graph& g = driver_.BeginRound();
+    const Round round = driver_.round();
+    RunStats& stats = driver_.stats();
+    const std::int64_t bit_limit = stats.bit_limit;
 
-    const auto t0 = Clock::now();
-    // One topology call per round, in round order — either the prefetch
-    // launched by the previous Step (join before mutating round_ or topo_,
-    // both of which the in-flight call reads) or a synchronous call here.
-    // Both schedules present the adversary the identical call sequence. Per
-    // round one of two sub-paths runs, chosen by WantDirectTopology():
-    // RoundEdgesInto straight into the DynGraph's edit buffer — with one
-    // engine-side DiffSorted when a checker/trace consumes deltas — or
-    // DeltaFor + Apply (ProduceTopology). The choice only moves work
-    // between equivalent code paths; the produced graph (and every consumed
-    // delta) is identical either way.
-    RoundTopology made;
-    if (prefetch_pending_) {
-      // Join the lane task launched by the previous Step (it wrote
-      // prefetch_made_/prefetch_delta_ and possibly topo_'s edit buffer);
-      // Drain rethrows any adversary error and orders its writes before our
-      // reads.
-      DrainTopoLane();
-      prefetch_pending_ = false;
-      stats_.timings.aux_topology_ns += prefetch_ns_;
-      round_ = prefetched_round_;
-      made = prefetch_made_;
-      delta_ = std::move(prefetch_delta_);
-    } else {
-      ++round_;
-      made = ProduceTopology(round_, WantDirectTopology(), delta_);
-    }
-    if (made.tried_direct && !made.assigned) topo_direct_supported_ = false;
-    if (made.assigned) {
-      topo_.CommitEdges();
-      ++topo_direct_rounds_;
-    } else {
-      topo_.Apply(delta_);  // CheckError on a contract-violating delta
-      ++topo_delta_rounds_;
-    }
-    // Whatever sub-path ran, every delta consumer must have a delta for
-    // every round — a past regression had this gate silently starving
-    // consumers when the fast path was picked.
-    SDN_CHECK(!need_delta_ || made.has_delta);
-    UpdateTopologyChurn(made.has_delta);
-    const graph::Graph& g = topo_.View();
-    if (options_.record_trace != nullptr) {
-      options_.record_trace->Push(g, delta_);
-    }
-    stats_.edges_processed += g.num_edges();
-    // Live-topology footprint this round: edge list + CSR adjacency +
-    // offsets, plus the reused delta buffer. O(E_round), a pure function
-    // of the topology stream — the streaming pipeline's whole point is
-    // that this gauge never grows with the number of rounds.
-    mem_topology_->SetCurrent(static_cast<std::int64_t>(
-        static_cast<std::size_t>(g.num_edges()) *
-            (sizeof(graph::Edge) + 2 * sizeof(graph::NodeId)) +
-        static_cast<std::size_t>(n_ + 1) * sizeof(std::int64_t) +
-        static_cast<std::size_t>(delta_.size()) * sizeof(graph::Edge)));
-    // The companion gauges: the DynGraph's maintenance scratch and the
-    // adversary's generator buffers. Both are capacity-based pure
-    // functions of the call stream (sampled here, after the lane joined),
-    // so RunStats::memory stays bit-identical across thread counts and
-    // overlap toggles.
-    mem_topology_scratch_->SetCurrent(topo_.ScratchBytes());
-    mem_adversary_->SetCurrent(adversary_.BufferBytes());
-    const auto t1 = Clock::now();
-
-    if (checker_.has_value() && async_cert_) {
-      // Certification lane: ship this round's claim as owned copies and
-      // let the checker consume it off the critical path. The bounded
-      // queue backpressures Submit, so the lane lags at most
-      // kCertQueueDepth rounds; stats() is the rendezvous that drains it
-      // before any verdict (or checker error) is read. The round_ok value
-      // is only consumed by fail-fast, which pins the synchronous path.
-      if (use_composition_) {
-        const graph::RoundComposition* comp = adversary_.Composition(round_);
-        SDN_CHECK_MSG(comp != nullptr,
-                      "adversary advertises has_composition but returned no "
-                      "composition for round "
-                          << round_);
-        // The claim's core/support spans ride on their shared owners (the
-        // span-lifetime contract — no spine copy); only the volatile
-        // fresh span and the round's edge list need owned copies. Vector
-        // moves keep the heap buffer, so spans fixed up at execution time
-        // survive the closure's moves through the queue.
-        cert_lane_.Submit(util::UniqueTask(
-            [this, jc = *comp,
-             fresh = std::vector<graph::Edge>(comp->fresh.begin(),
-                                              comp->fresh.end()),
-             edges = std::vector<graph::Edge>(g.Edges().begin(),
-                                              g.Edges().end())]() mutable {
-              const auto c0 = std::chrono::steady_clock::now();
-              jc.fresh = fresh;
-              (void)checker_->PushComposition(
-                  jc, std::span<const graph::Edge>(edges));
-              cert_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - c0)
-                              .count();
-            }));
-      } else {
-        cert_lane_.Submit(util::UniqueTask([this, d = delta_]() {
-          const auto c0 = std::chrono::steady_clock::now();
-          (void)checker_->PushDelta(d);
-          cert_ns_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                          std::chrono::steady_clock::now() - c0)
-                          .count();
-        }));
-      }
-    } else if (checker_.has_value()) {
-      bool round_ok;
-      if (use_composition_) {
-        // Certification fast path: the adversary's structural claim for
-        // this round (cross-checked inside the checker) — no delta needed.
-        const graph::RoundComposition* comp = adversary_.Composition(round_);
-        SDN_CHECK_MSG(comp != nullptr,
-                      "adversary advertises has_composition but returned no "
-                      "composition for round "
-                          << round_);
-        round_ok = checker_->PushComposition(*comp, g);
-      } else {
-        // The checker consumes the same delta the topology was built from.
-        round_ok = checker_->PushDelta(delta_);
-      }
-      if (!round_ok && options_.fail_fast_on_tinterval) {
-        // Mirror the bandwidth-violation fail shape: record, close the
-        // books, surface through the recorder, then throw from Step().
-        stats_.rounds = round_;
-        stats_.tinterval_first_bad_window = checker_->first_bad_window();
-        finished_ = true;
-        const auto tf = Clock::now();
-        AccumulateTimings(t0, t1, tf, tf, tf, tf, tf, Clock::now());
-        if (rec_ != nullptr) {
-          rec_->Emit({.kind = obs::EventKind::kCheckerWindow,
-                      .round = round_,
-                      .t_ns = rec_->RelNs(tf),
-                      .a = checker_->stable_edge_count(),
-                      .b = 0,
-                      .c = checker_->certified_T()});
-        }
-        SDN_CHECK_MSG(false,
-                      "T-interval violation: window starting at round "
-                          << checker_->first_bad_window() + 1
-                          << " has a disconnected intersection "
-                             "(fail_fast_on_tinterval)");
-      }
-    }
-    const auto t2 = Clock::now();
-
-    StepProbes(g);
-    const auto t3 = Clock::now();
-
-    // Send phase: every node's message lands in its own raw outbox slot
-    // (DirectSendProgram composes it in place; the generic path moves the
-    // OnSend optional's payload in), with silentness tracked in the
-    // separate sent_ byte array. Shard accumulators do the message
-    // accounting; budget violations are *recorded* per shard (first in
-    // node order) instead of thrown from a worker — the merge below
-    // deterministically picks the lowest node and fails the run from this
-    // thread.
+    // Send phase: every node's message lands in its own raw outbox slot,
+    // with silentness tracked in the separate sent-flag array. Shard
+    // accumulators do the message accounting; budget violations are
+    // *recorded* per shard (first in node order) instead of thrown from a
+    // worker — the merge below deterministically picks the lowest node and
+    // fails the run from this thread.
     //
     // Fused fast path: when the previous round's deliver pass already
-    // staged this round's messages (fused_send_deliver), the send phase
-    // degenerates to a buffer flip — the staged half of the double buffer
-    // becomes the live outbox, and the staged accumulators are folded into
-    // the stats exactly as a freshly-run send phase's would be. The flip
-    // sits here, after validate and probes, so an abort above leaves the
-    // staged round unmerged — the serial engine's books at the same round.
+    // staged this round's messages, the send phase degenerates to a buffer
+    // flip — the staged half becomes the live outbox, and the staged
+    // accumulators are folded into the stats exactly as a freshly-run send
+    // phase's would be. The flip sits here, after validate and probes, so
+    // an abort above leaves the staged round unmerged — the serial
+    // engine's books at the same round.
     const bool fused_consume = staged_valid_;
     if (fused_consume) {
       staged_valid_ = false;
-      live_buf_ ^= 1;
-      outbox_ = outbox_bufs_[live_buf_];
-      sent_ = sent_bufs_[live_buf_];
+      live_ ^= 1;
     } else {
-      ForShards([this](int shard, std::int64_t begin, std::int64_t end) {
+      driver_.ForShards([&](int shard, std::int64_t begin, std::int64_t end) {
         ShardAccum& acc = shard_accum_[static_cast<std::size_t>(shard)];
         acc = ShardAccum{};
+        Message* out = outbox_[live_].data();
+        unsigned char* sent = sent_[live_].data();
         for (std::int64_t u = begin; u < end; ++u) {
-          typename A::Message& slot = outbox_[static_cast<std::size_t>(u)];
-          bool sent;
-          if constexpr (DirectSendProgram<A>) {
-            sent = nodes_[static_cast<std::size_t>(u)].OnSendInto(round_, slot);
-          } else {
-            std::optional<typename A::Message> msg =
-                nodes_[static_cast<std::size_t>(u)].OnSend(round_);
-            sent = msg.has_value();
-            if (sent) slot = std::move(*msg);
+          if (Send(nodes_[static_cast<std::size_t>(u)], round, u, out, sent,
+                   acc, bit_limit)) {
+            ++stats.sends_per_node[static_cast<std::size_t>(u)];
           }
-          sent_[static_cast<std::size_t>(u)] = sent ? 1 : 0;
-          if (!sent) continue;
-          const auto bits = static_cast<std::int64_t>(A::MessageBits(slot));
-          if (bits > stats_.bit_limit && acc.violation_node < 0) {
-            acc.violation_node = static_cast<graph::NodeId>(u);
-            acc.violation_bits = bits;
-          }
-          ++acc.messages_sent;
-          ++stats_.sends_per_node[static_cast<std::size_t>(u)];
-          acc.total_message_bits += bits;
-          acc.max_message_bits = std::max(acc.max_message_bits, bits);
         }
       });
     }
     // The send window ends at the phase barrier (or the fused flip); the
-    // shard merge below is engine bookkeeping and lands in other_ns, not
-    // send_ns.
-    const auto t4 = Clock::now();
+    // shard merge below is engine bookkeeping and lands in other_ns.
+    driver_.EndSend();
     std::int64_t round_sent = 0;
-    const std::vector<ShardAccum>& send_accums =
-        fused_consume ? staged_accum_ : shard_accum_;
-    for (const ShardAccum& acc : send_accums) {
+    for (const ShardAccum& acc : fused_consume ? staged_accum_ : shard_accum_) {
       round_sent += acc.messages_sent;
-      stats_.messages_sent += acc.messages_sent;
-      stats_.total_message_bits += acc.total_message_bits;
-      stats_.max_message_bits =
-          std::max(stats_.max_message_bits, acc.max_message_bits);
-      if (!stats_.bandwidth_violation.has_value() && acc.violation_node >= 0) {
-        stats_.bandwidth_violation =
-            BandwidthViolation{acc.violation_node, round_, acc.violation_bits};
+      stats.messages_sent += acc.messages_sent;
+      stats.total_message_bits += acc.total_message_bits;
+      stats.max_message_bits =
+          std::max(stats.max_message_bits, acc.max_message_bits);
+      if (!stats.bandwidth_violation.has_value() && acc.violation_node >= 0) {
+        stats.bandwidth_violation =
+            BandwidthViolation{acc.violation_node, round, acc.violation_bits};
       }
     }
     if (fused_consume) {
       // Staged stats had to stay discardable until the merge, so the
       // per-node send tally was deferred; fold it in from the sent flags.
-      std::int64_t* const spn = stats_.sends_per_node.data();
-      const unsigned char* const sent = sent_.data();
-      for (std::int64_t u = 0; u < n_; ++u) {
-        spn[u] += sent[u];
-      }
+      std::int64_t* const spn = stats.sends_per_node.data();
+      const unsigned char* const sent = sent_[live_].data();
+      for (std::int64_t u = 0; u < n_; ++u) spn[u] += sent[u];
     }
 
-    if (stats_.bandwidth_violation.has_value()) {
-      stats_.rounds = round_;
-      finished_ = true;
-      AccumulateTimings(t0, t1, t2, t3, t4, t4, t4, Clock::now());
-      if (rec_ != nullptr) {
-        const BandwidthViolation& v = *stats_.bandwidth_violation;
-        EmitPhaseSpans(t0, t1, t2, t3, t4);
-        rec_->Emit({.kind = obs::EventKind::kBandwidthViolation,
-                    .round = round_,
-                    .t_ns = rec_->RelNs(t4),
-                    .a = v.bits,
-                    .b = v.node});
-      }
-      const BandwidthViolation& v = *stats_.bandwidth_violation;
-      SDN_CHECK_MSG(false, "message of " << v.bits << " bits exceeds budget "
-                                         << stats_.bit_limit << " at node "
-                                         << v.node << " round " << v.round);
-    }
-
-    // Overlap the next round's topology with the deliver phase: for an
-    // oblivious adversary the call reads no node state, so running it on
-    // the persistent auxiliary lane while OnReceive mutates the nodes is
-    // race-free and the produced call sequence is identical to the
-    // synchronous schedule. The lane reads topo_.View(), which is not
-    // touched again until the next Step drains the lane, and writes only the
-    // DynGraph's edit buffer (disjoint from the view the deliver phase
-    // reads), the moved-out delta and the prefetch result slots. The
-    // sub-path choice is frozen at launch from this round's churn state —
-    // exactly what the synchronous schedule would pick, since churn was last
-    // updated in this Step's topology section.
-    if (prefetch_enabled_ && round_ < options_.max_rounds) {
-      prefetched_round_ = round_ + 1;
-      prefetch_pending_ = true;
-      topo_lane_.Submit(util::UniqueTask(
-          [this, r = prefetched_round_, direct = WantDirectTopology(),
-           d = std::move(delta_)]() mutable {
-            const auto p0 = std::chrono::steady_clock::now();
-            prefetch_made_ = ProduceTopology(r, direct, d);
-            prefetch_delta_ = std::move(d);
-            prefetch_ns_ = std::chrono::duration_cast<std::chrono::nanoseconds>(
-                               std::chrono::steady_clock::now() - p0)
-                               .count();
-          }));
-    }
-
-    // Deliver phase. Zero-copy either way. Dense path (all-sent rounds):
-    // each receiver's Inbox indexes the outbox through the graph's own CSR
-    // neighbor span — no gather at all. Gather path (rounds with silent
-    // nodes): pointers to the flagged outbox slots go into per-shard
-    // reusable buffers — the flags live in sent_, so the gather itself
-    // never touches a message cache line. Both paths software-prefetch each
-    // receiver's message lines before its OnReceive: the slot addresses are
+    // Deliver phase (BeginDeliver first fails the run if the merge above
+    // recorded a bandwidth violation), on the dense or the gather Inbox
+    // backing (net/program.hpp). Both software-prefetch each receiver's
+    // message lines before its OnReceive: the slot addresses are
     // data-dependent scatters the hardware prefetcher cannot see, and
     // prefetching them back to back buys memory-level parallelism across
-    // the receiver's whole inbox. The outbox is not
-    // mutated until the next round's send phase. Decisions land in
-    // per-node slots plus a per-shard count, reduced below instead of
-    // mutated inline.
-    const bool dense = round_sent == n_;
-    if (dense) {
-      ++dense_rounds_;
-    } else {
-      ++gather_rounds_;
-    }
+    // the receiver's whole inbox. Decisions land in per-node slots plus a
+    // per-shard count, reduced below instead of mutated inline.
+    //
     // Fused staging: while this round's deliver pass holds each node hot,
     // compose its round r+1 message into the inactive outbox half. The
     // per-node call order (OnReceive(r), OnSendInto(r+1)) is exactly the
-    // serial engine's — nothing between them ever touches node state —
-    // and the staged stats stay in staged_accum_, discardable until round
-    // r+1's flip merges them. sends_per_node is deferred to the merge for
-    // the same reason.
-    const bool stage_next = fused_enabled_ && round_ < options_.max_rounds;
-    const auto t5 = Clock::now();
-    // CI fault hook (SDN_FAULT_DELIVER_SLEEP_MS / SDN_FAULT_DELIVER_ROUND,
-    // read once in EnsureStarted): stall the deliver window of one round so
-    // the anomaly smoke test has a real spike to detect. Wall clock only —
-    // no engine state is touched, so deterministic RunStats are unchanged.
-    if (fault_sleep_ms_ > 0 && round_ == fault_round_) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(fault_sleep_ms_));
-    }
-    ForShards([this, &g, dense, stage_next](int shard, std::int64_t begin,
-                                            std::int64_t end) {
-      using Message = typename A::Message;
-      ShardAccum& acc = shard_accum_[static_cast<std::size_t>(shard)];
+    // serial engine's — nothing between them ever touches node state — and
+    // the staged stats stay in staged_accum_, discardable until round r+1's
+    // flip merges them.
+    const bool dense = round_sent == n_;
+    ++(dense ? dense_rounds_ : gather_rounds_);
+    const bool stage_next = fused_ && round < driver_.options().max_rounds;
+    driver_.BeginDeliver();
+    driver_.ForShards([&](int shard, std::int64_t begin, std::int64_t end) {
+      const auto s = static_cast<std::size_t>(shard);
+      ShardAccum& acc = shard_accum_[s];
       acc = ShardAccum{};
-      const Message* outbox = outbox_.data();
-      ShardAccum* sacc = nullptr;
-      Message* stage_out = nullptr;
-      unsigned char* stage_sent = nullptr;
-      if (stage_next) {
-        sacc = &staged_accum_[static_cast<std::size_t>(shard)];
-        *sacc = ShardAccum{};
-        stage_out = outbox_bufs_[live_buf_ ^ 1].data();
-        stage_sent = sent_bufs_[live_buf_ ^ 1].data();
-      }
-      const auto stage_one = [&](std::int64_t u, A& node) {
-        if constexpr (DirectSendProgram<A>) {
-          Message& slot = stage_out[static_cast<std::size_t>(u)];
-          const bool did = node.OnSendInto(round_ + 1, slot);
-          stage_sent[static_cast<std::size_t>(u)] = did ? 1 : 0;
-          if (!did) return;
-          const auto bits = static_cast<std::int64_t>(A::MessageBits(slot));
-          if (bits > stats_.bit_limit && sacc->violation_node < 0) {
-            sacc->violation_node = static_cast<graph::NodeId>(u);
-            sacc->violation_bits = bits;
-          }
-          ++sacc->messages_sent;
-          sacc->total_message_bits += bits;
-          sacc->max_message_bits = std::max(sacc->max_message_bits, bits);
-        } else {
-          (void)u;
-          (void)node;
-        }
-      };
-      if (dense) {
-        for (std::int64_t u = begin; u < end; ++u) {
-          const std::span<const graph::NodeId> ids =
-              g.Neighbors(static_cast<graph::NodeId>(u));
+      if (stage_next) staged_accum_[s] = ShardAccum{};
+      const Message* outbox = outbox_[live_].data();
+      const unsigned char* sent = sent_[live_].data();
+      Message* stage_out = outbox_[live_ ^ 1].data();
+      unsigned char* stage_sent = sent_[live_ ^ 1].data();
+      std::vector<const Message*>& slots = shard_slots_[s];
+      for (std::int64_t u = begin; u < end; ++u) {
+        const std::span<const graph::NodeId> ids =
+            g.Neighbors(static_cast<graph::NodeId>(u));
+        A& node = nodes_[static_cast<std::size_t>(u)];
+        const bool was_decided = node.HasDecided();
+        if (dense) {
           for (const graph::NodeId v : ids) {
             __builtin_prefetch(outbox + v, 0, 3);
           }
           acc.messages_delivered += static_cast<std::int64_t>(ids.size());
-          A& node = nodes_[static_cast<std::size_t>(u)];
-          const bool was_decided = node.HasDecided();
-          node.OnReceive(round_, Inbox<Message>(outbox, ids));
-          if (!was_decided && node.HasDecided()) {
-            stats_.decide_round[static_cast<std::size_t>(u)] = round_;
-            ++acc.decided;
+          node.OnReceive(round, Inbox<Message>(outbox, ids));
+        } else {
+          slots.clear();
+          for (const graph::NodeId v : ids) {
+            if (sent[static_cast<std::size_t>(v)]) {
+              __builtin_prefetch(outbox + v, 0, 3);
+              slots.push_back(outbox + v);
+            }
           }
-          if (stage_next) stage_one(u, node);
+          acc.messages_delivered += static_cast<std::int64_t>(slots.size());
+          node.OnReceive(round, Inbox<Message>(slots));
         }
-        return;
-      }
-      const unsigned char* sent = sent_.data();
-      std::vector<const Message*>& slots =
-          shard_slots_[static_cast<std::size_t>(shard)];
-      for (std::int64_t u = begin; u < end; ++u) {
-        slots.clear();
-        for (const graph::NodeId v :
-             g.Neighbors(static_cast<graph::NodeId>(u))) {
-          if (sent[static_cast<std::size_t>(v)]) {
-            const Message* slot = outbox + v;
-            __builtin_prefetch(slot, 0, 3);
-            slots.push_back(slot);
-          }
-        }
-        acc.messages_delivered += static_cast<std::int64_t>(slots.size());
-        A& node = nodes_[static_cast<std::size_t>(u)];
-        const bool was_decided = node.HasDecided();
-        node.OnReceive(round_, Inbox<Message>(slots));
         if (!was_decided && node.HasDecided()) {
-          stats_.decide_round[static_cast<std::size_t>(u)] = round_;
+          stats.decide_round[static_cast<std::size_t>(u)] = round;
           ++acc.decided;
         }
-        if (stage_next) stage_one(u, node);
+        if (stage_next) {
+          (void)Send(node, round + 1, u, stage_out, stage_sent,
+                     staged_accum_[s], bit_limit);
+        }
       }
     });
     staged_valid_ = stage_next;
     // Deliver window ends at the barrier; merge + decision bookkeeping are
     // other_ns.
-    const auto t6 = Clock::now();
+    driver_.EndDeliver();
     std::int64_t decided = 0;
     std::int64_t round_delivered = 0;
     for (const ShardAccum& acc : shard_accum_) {
-      stats_.messages_delivered += acc.messages_delivered;
       round_delivered += acc.messages_delivered;
       decided += acc.decided;
     }
+    stats.messages_delivered += round_delivered;
     if (decided > 0) {
-      if (stats_.first_decide_round < 0) stats_.first_decide_round = round_;
-      stats_.last_decide_round = round_;
+      if (stats.first_decide_round < 0) stats.first_decide_round = round;
+      stats.last_decide_round = round;
       undecided_ -= decided;
     }
-    stats_.rounds = round_;
-    if (undecided_ == 0) {
-      finished_ = true;
-    } else if (round_ >= options_.max_rounds) {
-      finished_ = true;
-      stats_.hit_max_rounds = true;
-    }
-    const auto t7 = Clock::now();
-    AccumulateTimings(t0, t1, t2, t3, t4, t5, t6, t7);
+    driver_.EndRound(undecided_ == 0);
 
-    // Observability sinks run after the final clock read, so their cost
-    // never lands in any timing bucket — and RunStats (including timings)
-    // is identical with the sinks on or off.
-    if (rec_ != nullptr) {
-      ObserveRound(t0, t1, t2, t3, t4, t5, t6, round_delivered);
+    std::optional<ProgramPhase> phase;
+    if constexpr (ObservableProgram<A>) {
+      if (driver_.recording()) phase = SamplePhase();
     }
-    if (registry_ != nullptr) {
-      const auto ns = [](Clock::time_point a, Clock::time_point b) {
-        return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-            .count();
-      };
-      hist_round_edges_->Observe(g.num_edges());
-      hist_round_deliveries_->Observe(round_delivered);
-      hist_round_send_ns_->Observe(ns(t3, t4));
-      hist_round_deliver_ns_->Observe(ns(t5, t6));
-      hist_round_total_ns_->Observe(ns(t0, t7));
-      if (anomaly_ != nullptr) {
-        obs::RoundSignals sig;
-        sig.round = round_;
-        sig.topology_ns = ns(t0, t1);
-        sig.validate_ns = ns(t1, t2);
-        sig.probe_ns = ns(t2, t3);
-        sig.send_ns = ns(t3, t4);
-        sig.deliver_ns = ns(t5, t6);
-        sig.total_ns = ns(t0, t7);
-        sig.aux_wait_ns = aux_wait_ns_round_;
-        // Under async certification the checker runs on its own lane and
-        // reading it here would race; certified_T = -1 means "not sampled"
-        // and the cert-regression rule skips the round. Recorder-attached
-        // runs (the only ones that can dump) always have the synchronous
-        // checker, so dump-capable runs never lose the signal.
-        if (checker_.has_value() && !async_cert_) {
-          sig.certified_T = checker_->certified_T();
-          sig.first_bad_window = checker_->first_bad_window();
-        }
-        if (rec_ != nullptr) sig.recorder_dropped = rec_->dropped();
-        const std::array<obs::MemorySample, 6> mem = {{
-            {"outbox", mem_outbox_->current()},
-            {"programs", mem_programs_->current()},
-            {"topology", mem_topology_->current()},
-            {"topology_scratch", mem_topology_scratch_->current()},
-            {"adversary", mem_adversary_->current()},
-            {"checker",
-             mem_checker_ != nullptr ? mem_checker_->current() : 0},
-        }};
-        anomaly_->Observe(sig, mem);
-      }
-    }
+    driver_.Observe(round_delivered, phase);
     return true;
   }
 
@@ -727,96 +252,20 @@ class Engine final : private AdversaryView {
 
   /// Snapshot of the metrics so far (valid mid-run and after completion).
   [[nodiscard]] RunStats stats() const {
-    // Deterministic rendezvous with the certification lane: every claim
-    // submitted so far is consumed — and any checker error (e.g. a lying
-    // composition) rethrown — before a verdict is read, so the snapshot
-    // equals the synchronous engine's at the same round.
-    cert_lane_.Drain();
-    RunStats out = stats_;
-    out.timings.aux_validate_ns += cert_ns_;
-    out.all_decided = started_ && undecided_ == 0;
-    out.tinterval_validated = options_.validate_tinterval && started_;
-    out.tinterval_ok = !checker_.has_value() || checker_->ok();
-    if (checker_.has_value()) {
-      out.certified_T = checker_->certified_T();
-      out.tinterval_first_bad_window = checker_->first_bad_window();
-      out.min_stable_forest = checker_->min_stable_forest();
-      // The checker's footprint is a pure function of the rounds pushed —
-      // sampled here, post-drain, so the gauge is identical across thread
-      // counts and the async toggle.
-      if (mem_checker_ != nullptr) {
-        mem_checker_->SetCurrent(checker_->ApproxBytes());
-      }
+    std::optional<std::int64_t> algo_work;
+    if constexpr (ObservableProgram<A>) {
+      if (driver_.collecting_metrics()) algo_work = SamplePhase().work;
     }
-    out.flooding = FloodingSnapshot();
-    if (budget_ != nullptr) {
-      for (const util::MemoryBudget::Entry& e : budget_->Snapshot()) {
-        out.memory.push_back({e.subsystem, e.current_bytes, e.peak_bytes});
-      }
-    }
-    if (rec_ != nullptr) {
-      // Truth-in-tracing: surfaced even without a registry so OneLine can
-      // print `drops=` whenever a trace is no longer complete.
-      out.recorder_dropped = rec_->dropped();
-    }
-    if (anomaly_ != nullptr) out.anomalies = anomaly_->records();
-    if (registry_ != nullptr) {
-      // Mirror the scalar aggregates into the registry so the snapshot is
-      // self-contained (one structure to render or export).
-      registry_->GetGauge("messages_sent")->Set(stats_.messages_sent);
-      registry_->GetGauge("messages_delivered")->Set(stats_.messages_delivered);
-      registry_->GetGauge("edges_processed")->Set(stats_.edges_processed);
-      registry_->GetGauge("max_message_bits")->Set(stats_.max_message_bits);
-      if constexpr (ObservableProgram<A>) {
-        std::int64_t work = 0;
-        for (const A& node : nodes_) work += node.ObsPhase().work;
-        registry_->GetGauge("algo_work")->Set(work);
-      }
-      if (rec_ != nullptr) {
-        // Per-lane ring losses. Emission counts follow the recorded event
-        // stream, which can depend on wall-clock sampling — flagged
-        // non-deterministic so the on/off determinism comparisons ignore
-        // them (and their presence).
-        for (int lane = 0; lane < rec_->lanes(); ++lane) {
-          registry_
-              ->GetGauge("recorder_lane" + std::to_string(lane) + "_dropped",
-                         /*deterministic=*/false)
-              ->Set(static_cast<std::int64_t>(rec_->dropped_lane(lane)));
-        }
-      }
-      if (anomaly_ != nullptr) {
-        // Pipeline health tracks: the rolling windows' p99s, mirrored as
-        // gauges so the exposition endpoint (and RunStats::metrics) carry
-        // the anomaly plane's live view of each phase. Wall-clock valued —
-        // non-deterministic by construction.
-        using Track = obs::AnomalyEngine::Track;
-        static constexpr struct {
-          Track track;
-          const char* name;
-        } kTracks[] = {
-            {Track::kTopology, "rolling_topology_ns_p99"},
-            {Track::kValidate, "rolling_validate_ns_p99"},
-            {Track::kProbe, "rolling_probe_ns_p99"},
-            {Track::kSend, "rolling_send_ns_p99"},
-            {Track::kDeliver, "rolling_deliver_ns_p99"},
-            {Track::kTotal, "rolling_total_ns_p99"},
-            {Track::kAuxWait, "rolling_aux_wait_ns_p99"},
-        };
-        for (const auto& t : kTracks) {
-          registry_->GetGauge(t.name, /*deterministic=*/false)
-              ->Set(anomaly_->hist(t.track).Quantile(0.99));
-        }
-      }
-      out.metrics = registry_->Snapshot();
-    }
+    RunStats out = driver_.Snapshot(algo_work);
+    out.all_decided = driver_.started() && undecided_ == 0;
     return out;
   }
 
-  [[nodiscard]] bool finished() const { return finished_; }
-  [[nodiscard]] std::int64_t current_round() const { return round_; }
+  [[nodiscard]] bool finished() const { return driver_.finished(); }
+  [[nodiscard]] std::int64_t current_round() const { return driver_.round(); }
   /// Topology of the most recently executed round (empty before round 1).
   [[nodiscard]] const graph::Graph& last_topology() const {
-    return topo_.View();
+    return driver_.topology();
   }
 
   /// Per-path round counters (test/bench introspection). The delivery
@@ -829,16 +278,15 @@ class Engine final : private AdversaryView {
     return gather_rounds_;
   }
   [[nodiscard]] std::int64_t topology_direct_rounds() const {
-    return topo_direct_rounds_;
+    return driver_.topology_direct_rounds();
   }
   [[nodiscard]] std::int64_t topology_delta_rounds() const {
-    return topo_delta_rounds_;
+    return driver_.topology_delta_rounds();
   }
   /// Per-subsystem byte accounting (engine-owned budget unless
   /// EngineOptions::memory_budget redirected the charges).
   [[nodiscard]] const util::MemoryBudget& memory_budget() const {
-    SDN_CHECK(budget_ != nullptr);
-    return *budget_;
+    return driver_.memory_budget();
   }
 
   [[nodiscard]] const A& node(graph::NodeId u) const {
@@ -848,31 +296,6 @@ class Engine final : private AdversaryView {
   [[nodiscard]] graph::NodeId num_nodes() const override { return n_; }
 
  private:
-  /// Sharding floor/cap: boundaries are a pure function of n, never of the
-  /// thread count, so the shard-ordered merge is the same computation at
-  /// every EngineOptions::threads setting.
-  static constexpr std::int64_t kMinShardNodes = 64;
-  static constexpr std::int64_t kMaxShards = 64;
-
-  /// Async-certification queue depth: the checker may lag the round loop
-  /// by at most this many rounds before Submit backpressures the producer.
-  static constexpr std::size_t kCertQueueDepth = 4;
-
-  /// Churn-adaptive topology sub-path (with delta consumers): EWMA of
-  /// |delta| / |E| with a hysteresis band. Above kChurnHigh, in-place
-  /// patching (Apply walks O(|Δ| log E) split points plus the moved bytes,
-  /// and itself degrades to a full linear merge once |Δ| >= E/8) loses to
-  /// rebuilding from the full round list (CommitEdges: one swap plus an
-  /// O(E) adjacency refill), so the engine flips to RoundEdgesInto + one
-  /// DiffSorted for the delta consumers; below kChurnLow it flips back. The
-  /// band brackets Apply's own E/8 dense-merge crossover (docs/PERF.md
-  /// records the measurement). Round 1's delta is the full bootstrap graph
-  /// (churn ratio ~1 by construction) and is skipped as a bootstrap
-  /// artifact.
-  static constexpr double kChurnAlpha = 0.25;
-  static constexpr double kChurnHigh = 0.15;
-  static constexpr double kChurnLow = 0.08;
-
   /// Per-shard accumulator for one phase; merged in shard order after the
   /// barrier. Cache-line aligned so neighboring shards don't false-share.
   struct alignas(64) ShardAccum {
@@ -886,591 +309,103 @@ class Engine final : private AdversaryView {
   };
 
   // AdversaryView:
-  [[nodiscard]] std::int64_t round() const override { return round_; }
+  [[nodiscard]] std::int64_t round() const override { return driver_.round(); }
   [[nodiscard]] double PublicState(graph::NodeId u) const override {
     SDN_CHECK(u >= 0 && u < n_);
     return nodes_[static_cast<std::size_t>(u)].PublicState();
   }
 
-  /// Joins the topology lane; with the anomaly plane on, the wait is
-  /// clocked into this round's aux-stall signal (two extra steady_clock
-  /// reads inside the topology window — wall-clock observation only, no
-  /// deterministic state touched).
-  void DrainTopoLane() {
-    if (anomaly_ == nullptr) {
-      topo_lane_.Drain();
-      return;
+  /// Composes node u's round-r message into out[u], sets its sent flag and
+  /// books it in `acc`; returns whether the node sent.
+  static bool Send(A& node, Round r, std::int64_t u, Message* out,
+                   unsigned char* sent, ShardAccum& acc,
+                   std::int64_t bit_limit) {
+    Message& slot = out[static_cast<std::size_t>(u)];
+    const bool did = node.OnSendInto(r, slot);
+    sent[static_cast<std::size_t>(u)] = did ? 1 : 0;
+    if (!did) return false;
+    const auto bits = static_cast<std::int64_t>(A::MessageBits(slot));
+    if (bits > bit_limit && acc.violation_node < 0) {
+      acc.violation_node = static_cast<graph::NodeId>(u);
+      acc.violation_bits = bits;
     }
-    const auto w0 = std::chrono::steady_clock::now();
-    topo_lane_.Drain();
-    aux_wait_ns_round_ += std::chrono::duration_cast<std::chrono::nanoseconds>(
-                              std::chrono::steady_clock::now() - w0)
-                              .count();
+    ++acc.messages_sent;
+    acc.total_message_bits += bits;
+    acc.max_message_bits = std::max(acc.max_message_bits, bits);
+    return true;
   }
 
-  /// What one round's topology call produced: the round list already sits
-  /// in topo_'s edit buffer (assigned) and/or the delta buffer holds the
-  /// round's delta (always when delta consumers exist).
-  struct RoundTopology {
-    bool tried_direct = false;
-    bool assigned = false;
-    bool has_delta = false;
-  };
-
-  /// The one adversary call for round `r` — on the driving thread or the
-  /// prefetch lane: RoundEdgesInto into topo_'s edit buffer when `direct`
-  /// (plus one DiffSorted into `delta` for delta consumers), DeltaFor into
-  /// `delta` otherwise or when the adversary declines.
-  RoundTopology ProduceTopology(std::int64_t r, bool direct,
-                                graph::TopologyDelta& delta) {
-    RoundTopology out{.tried_direct = direct};
-    if (direct) {
-      out.assigned = adversary_.RoundEdgesInto(r, *this, topo_.EditBuffer());
-      if (out.assigned && need_delta_) {
-        graph::DiffSorted(topo_.View().Edges(), topo_.EditBuffer(), delta);
-        out.has_delta = true;
-      }
-    }
-    if (!out.assigned) {
-      adversary_.DeltaFor(r, *this, topo_.View(), delta);
-      out.has_delta = true;
-    }
-    return out;
+  /// Node 0's phase label and index, with `work` summed over all nodes.
+  [[nodiscard]] ProgramPhase SamplePhase() const {
+    ProgramPhase phase = nodes_[0].ObsPhase();
+    phase.work = 0;
+    for (const A& node : nodes_) phase.work += node.ObsPhase().work;
+    return phase;
   }
 
-  /// Topology sub-path for the next round. Without
-  /// delta consumers the direct RoundEdgesInto path is strictly cheaper
-  /// (no diff runs anywhere); with consumers the churn hysteresis state
-  /// decides. An adversary without a native RoundEdgesInto permanently
-  /// pins the delta path the first time it declines.
-  [[nodiscard]] bool WantDirectTopology() const {
-    if (!topo_direct_supported_) return false;
-    if (!need_delta_) return true;
-    return topo_use_direct_;
-  }
-
-  /// Folds this round's |delta| / |E| into the churn EWMA and moves the
-  /// direct/delta preference across the hysteresis band. No-op on rounds
-  /// without a delta (direct path, no consumers — there is no choice to
-  /// steer) and on round 1 (bootstrap delta, see kChurnHigh).
-  void UpdateTopologyChurn(bool has_delta) {
-    if (!has_delta || round_ <= 1) return;
-    const auto edges = std::max<std::int64_t>(1, topo_.View().num_edges());
-    const double churn =
-        static_cast<double>(delta_.size()) / static_cast<double>(edges);
-    churn_ewma_ = churn_seeded_
-                      ? churn_ewma_ + kChurnAlpha * (churn - churn_ewma_)
-                      : churn;
-    churn_seeded_ = true;
-    if (topo_use_direct_) {
-      if (churn_ewma_ < kChurnLow) topo_use_direct_ = false;
-    } else if (churn_ewma_ > kChurnHigh) {
-      topo_use_direct_ = true;
-    }
-  }
-
-  /// Runs fn(shard, begin, end) over all shards — on the pool when parallel,
-  /// inline (same shard boundaries, ascending order) when serial.
-  void ForShards(const util::ThreadPool::RangeFn& fn) {
-    if (pool_ != nullptr) {
-      pool_->ParallelFor(n_, static_cast<int>(shards_), lanes_, fn);
-      return;
-    }
-    for (std::int64_t s = 0; s < shards_; ++s) {
-      fn(static_cast<int>(s), std::int64_t{n_} * s / shards_,
-         std::int64_t{n_} * (s + 1) / shards_);
-    }
-  }
-
-  /// Named windows: topology t0..t1, validate t1..t2, probe t2..t3, send
-  /// t3..t4 (the ForShards barrier only), deliver t5..t6 (ditto); t7 is the
-  /// final clock read. other_ns is the residual — everything between the
-  /// named windows (shard merges, stats bookkeeping, prefetch launches) —
-  /// constructed as total minus the named phases so the partition identity
-  /// topology+validate+probe+send+deliver+other == total holds exactly
-  /// (debug-asserted below, pinned by test_bandwidth_metrics).
-  void AccumulateTimings(std::chrono::steady_clock::time_point t0,
-                         std::chrono::steady_clock::time_point t1,
-                         std::chrono::steady_clock::time_point t2,
-                         std::chrono::steady_clock::time_point t3,
-                         std::chrono::steady_clock::time_point t4,
-                         std::chrono::steady_clock::time_point t5,
-                         std::chrono::steady_clock::time_point t6,
-                         std::chrono::steady_clock::time_point t7) {
-    const auto ns = [](std::chrono::steady_clock::time_point a,
-                       std::chrono::steady_clock::time_point b) {
-      return std::chrono::duration_cast<std::chrono::nanoseconds>(b - a)
-          .count();
-    };
-    const std::int64_t topology = ns(t0, t1);
-    const std::int64_t validate = ns(t1, t2);
-    const std::int64_t probe = ns(t2, t3);
-    const std::int64_t send = ns(t3, t4);
-    const std::int64_t deliver = ns(t5, t6);
-    const std::int64_t total = ns(t0, t7);
-    stats_.timings.topology_ns += topology;
-    stats_.timings.validate_ns += validate;
-    stats_.timings.probe_ns += probe;
-    stats_.timings.send_ns += send;
-    stats_.timings.deliver_ns += deliver;
-    stats_.timings.other_ns +=
-        total - (topology + validate + probe + send + deliver);
-    stats_.timings.total_ns += total;
-#ifndef NDEBUG
-    const EngineTimings& tm = stats_.timings;
-    SDN_CHECK_MSG(tm.topology_ns + tm.validate_ns + tm.probe_ns + tm.send_ns +
-                          tm.deliver_ns + tm.other_ns ==
-                      tm.total_ns,
-                  "EngineTimings phases must partition total_ns");
-#endif
-  }
-
-  /// Emits this round's engine-phase spans (kPhase) — the deliver window is
-  /// included only when the round got that far.
-  void EmitPhaseSpans(std::chrono::steady_clock::time_point t0,
-                      std::chrono::steady_clock::time_point t1,
-                      std::chrono::steady_clock::time_point t2,
-                      std::chrono::steady_clock::time_point t3,
-                      std::chrono::steady_clock::time_point t4,
-                      std::optional<std::chrono::steady_clock::time_point> t5 =
-                          std::nullopt,
-                      std::optional<std::chrono::steady_clock::time_point> t6 =
-                          std::nullopt) {
-    const auto span = [this](const char* label,
-                             std::chrono::steady_clock::time_point a,
-                             std::chrono::steady_clock::time_point b) {
-      rec_->Emit({.kind = obs::EventKind::kPhase,
-                  .round = round_,
-                  .t_ns = rec_->RelNs(a),
-                  .dur_ns = rec_->RelNs(b) - rec_->RelNs(a),
-                  .label = label});
-    };
-    span("topology", t0, t1);
-    span("validate", t1, t2);
-    span("probe", t2, t3);
-    span("send", t3, t4);
-    if (t5.has_value() && t6.has_value()) span("deliver", *t5, *t6);
-  }
-
-  /// Per-round flight-recorder emission (rec_ != nullptr only): phase
-  /// spans, the algorithm-phase track sampled from node 0, sketch-merge
-  /// progress summed over nodes, checker window state, and bandwidth
-  /// high-water marks. Runs after the round's final clock read.
-  void ObserveRound(std::chrono::steady_clock::time_point t0,
-                    std::chrono::steady_clock::time_point t1,
-                    std::chrono::steady_clock::time_point t2,
-                    std::chrono::steady_clock::time_point t3,
-                    std::chrono::steady_clock::time_point t4,
-                    std::chrono::steady_clock::time_point t5,
-                    std::chrono::steady_clock::time_point t6,
-                    std::int64_t round_delivered) {
-    EmitPhaseSpans(t0, t1, t2, t3, t4, t5, t6);
-    const std::int64_t now = rec_->RelNs(t6);
-    if constexpr (ObservableProgram<A>) {
-      // The run-level track samples node 0 (all nodes follow the same
-      // global schedule; divergence is exactly what the alarm machinery
-      // detects). Label identity is pointer identity — labels are static.
-      const ProgramPhase phase = nodes_[0].ObsPhase();
-      if (phase.label != obs_algo_label_ || phase.index != obs_algo_index_) {
-        obs_algo_label_ = phase.label;
-        obs_algo_index_ = phase.index;
-        rec_->Emit({.kind = obs::EventKind::kAlgoPhase,
-                    .round = round_,
-                    .t_ns = now,
-                    .a = phase.index,
-                    .label = phase.label});
-      }
-      std::int64_t merges = 0;
-      for (const A& node : nodes_) merges += node.ObsPhase().work;
-      if (merges != obs_merges_total_) {
-        rec_->Emit({.kind = obs::EventKind::kSketchMerge,
-                    .round = round_,
-                    .t_ns = now,
-                    .a = merges,
-                    .b = merges - obs_merges_total_});
-        obs_merges_total_ = merges;
-      }
-    }
-    if (checker_.has_value()) {
-      const std::int64_t stable = checker_->stable_edge_count();
-      const bool ok = checker_->ok();
-      const std::int64_t cert = checker_->certified_T();
-      if (stable != obs_stable_edges_ || ok != obs_checker_ok_ ||
-          cert != obs_cert_) {
-        obs_stable_edges_ = stable;
-        obs_checker_ok_ = ok;
-        obs_cert_ = cert;
-        rec_->Emit({.kind = obs::EventKind::kCheckerWindow,
-                    .round = round_,
-                    .t_ns = now,
-                    .a = stable,
-                    .b = ok ? 1 : 0,
-                    .c = cert});
-      }
-    }
-    if (stats_.max_message_bits > obs_hw_bits_) {
-      obs_hw_bits_ = stats_.max_message_bits;
-      rec_->Emit({.kind = obs::EventKind::kBandwidthHighWater,
-                  .round = round_,
-                  .t_ns = now,
-                  .a = obs_hw_bits_});
-    }
-    rec_->Emit({.kind = obs::EventKind::kCounter,
-                .round = round_,
-                .t_ns = now,
-                .a = round_delivered,
-                .label = "deliveries"});
-  }
-
-  void EnsureStarted() {
-    if (started_) return;
-    started_ = true;
-    rec_ = options_.recorder;
-    if (options_.collect_metrics) {
-      registry_ = std::make_unique<obs::MetricsRegistry>();
-      hist_round_edges_ = registry_->GetHistogram("round_edges");
-      hist_round_deliveries_ = registry_->GetHistogram("round_deliveries");
-      hist_round_send_ns_ =
-          registry_->GetHistogram("round_send_ns", /*deterministic=*/false);
-      hist_round_deliver_ns_ =
-          registry_->GetHistogram("round_deliver_ns", /*deterministic=*/false);
-      hist_round_total_ns_ =
-          registry_->GetHistogram("round_total_ns", /*deterministic=*/false);
-      if (options_.anomaly) {
-        anomaly_ = std::make_unique<obs::AnomalyEngine>(
-            options_.anomaly_options, registry_.get(), rec_);
-      }
-    }
-    // CI fault hook (see the deliver-phase sleep in Step): read once so the
-    // hot path pays two integer compares, not two getenv calls per round.
-    if (const char* e = std::getenv("SDN_FAULT_DELIVER_SLEEP_MS");
-        e != nullptr && *e != '\0') {
-      fault_sleep_ms_ = std::atoll(e);
-    }
-    if (const char* e = std::getenv("SDN_FAULT_DELIVER_ROUND");
-        e != nullptr && *e != '\0') {
-      fault_round_ = std::atoll(e);
-    }
-    stats_.decide_round.assign(static_cast<std::size_t>(n_), -1);
-    stats_.sends_per_node.assign(static_cast<std::size_t>(n_), 0);
-    stats_.bit_limit = options_.bandwidth.BitLimit(n_);
-    if (options_.validate_tinterval) {
-      checker_.emplace(n_, adversary_.interval());
-    }
-    topo_.Reset(n_);
-    // Certification fast path: a composition-exposing adversary lets the
-    // checker certify windows by witness identity, so no delta needs to be
-    // materialized for it at all — the topology hot path stays identical
-    // to an unvalidated run. Excluded when a flight recorder is attached
-    // (its kCheckerWindow track reads the delta path's stable_edge_count)
-    // or a trace recorder forces deltas anyway.
-    use_composition_ = checker_.has_value() && adversary_.has_composition() &&
-                       rec_ == nullptr && options_.record_trace == nullptr;
-    if (checker_.has_value()) {
-      stats_.checker_path =
-          use_composition_ ? CheckerPath::kComposition : CheckerPath::kGeneral;
-      stats_.checker_path_reason =
-          use_composition_ ? "adversary publishes a composition"
-          : !adversary_.has_composition()
-              ? "adversary publishes no composition"
-          : rec_ != nullptr ? "recorder attached"
-                            : "trace recorder attached";
-    }
-    // Deltas are materialized whenever something consumes them: the
-    // streaming validator (unless it rides the composition fast path) or a
-    // trace recorder. With consumers attached the adversary's
-    // RoundEdgesInto fast path stays available — the engine derives the
-    // delta itself with one DiffSorted when churn makes the direct path
-    // the cheaper producer (WantDirectTopology); the Step assert
-    // guarantees consumers see a delta every round regardless of which
-    // sub-path ran.
-    need_delta_ = (checker_.has_value() && !use_composition_) ||
-                  options_.record_trace != nullptr;
-    // Fused send/deliver needs the in-place compose path (OnSendInto) and
-    // an adversary that never samples PublicState between deliver r and
-    // send r+1 — i.e. an oblivious one. Deliberately not thread-gated:
-    // staging runs inside whatever deliver schedule (serial or sharded)
-    // the run already uses.
-    fused_enabled_ = DirectSendProgram<A> && options_.fused_send_deliver &&
-                     adversary_.oblivious();
+  void Start() {
+    driver_.Start();
+    RunStats& stats = driver_.stats();
+    const auto n = static_cast<std::size_t>(n_);
+    stats.decide_round.assign(n, -1);
+    stats.sends_per_node.assign(n, 0);
+    stats.bit_limit = driver_.options().bandwidth.BitLimit(n_);
+    // Fused send/deliver needs an adversary that never samples
+    // PublicState between deliver r and send r+1 — i.e. an oblivious one.
+    // Deliberately not thread-gated: staging runs inside whatever deliver
+    // schedule (serial or sharded) the run already uses.
+    fused_ = driver_.options().fused_send_deliver &&
+             driver_.adversary().oblivious();
     // MakeArray value-initializes: outbox slots default-constructed, sent
     // flags zero. Fused mode double-buffers both arrays so round r+1's
     // staged messages never alias the slots round r is still delivering.
-    outbox_bufs_[0] =
-        arena_.MakeArray<typename A::Message>(static_cast<std::size_t>(n_));
-    sent_bufs_[0] = arena_.MakeArray<unsigned char>(static_cast<std::size_t>(n_));
-    if (fused_enabled_) {
-      outbox_bufs_[1] =
-          arena_.MakeArray<typename A::Message>(static_cast<std::size_t>(n_));
-      sent_bufs_[1] =
-          arena_.MakeArray<unsigned char>(static_cast<std::size_t>(n_));
+    const std::size_t halves = fused_ ? 2 : 1;
+    for (std::size_t b = 0; b < halves; ++b) {
+      outbox_[b] = arena_.MakeArray<Message>(n);
+      sent_[b] = arena_.MakeArray<unsigned char>(n);
     }
-    live_buf_ = 0;
-    outbox_ = outbox_bufs_[0];
-    sent_ = sent_bufs_[0];
+    driver_.ChargeEngine(
+        static_cast<std::int64_t>(n * (sizeof(Message) + 1) * halves),
+        static_cast<std::int64_t>(n * sizeof(A)));
+    shard_accum_.assign(driver_.shards(), ShardAccum{});
+    if (fused_) staged_accum_.assign(driver_.shards(), ShardAccum{});
+    shard_slots_.resize(driver_.shards());
     undecided_ = n_;
-
-    // Memory accounting: resolve the gauges once, charge the fixed
-    // per-node structures now; the live-topology gauge is updated per
-    // round. All charged sizes are pure functions of n and the topology
-    // stream, so RunStats::memory is as deterministic as the rest of the
-    // stats.
-    budget_ = options_.memory_budget != nullptr ? options_.memory_budget
-                                                : &owned_budget_;
-    mem_outbox_ = budget_->Get("outbox");
-    mem_programs_ = budget_->Get("programs");
-    mem_topology_ = budget_->Get("topology");
-    mem_topology_scratch_ = budget_->Get("topology_scratch");
-    mem_adversary_ = budget_->Get("adversary");
-    if (checker_.has_value()) mem_checker_ = budget_->Get("checker");
-    mem_outbox_->SetCurrent(static_cast<std::int64_t>(
-        static_cast<std::size_t>(n_) * (sizeof(typename A::Message) + 1) *
-        (fused_enabled_ ? 2 : 1)));
-    mem_programs_->SetCurrent(
-        static_cast<std::int64_t>(static_cast<std::size_t>(n_) * sizeof(A)));
-
-    // Parallel geometry. Shard count is a function of n alone; the thread
-    // count only decides how many lanes execute those shards.
-    int threads = options_.threads;
-    if (threads == 0) {
-      threads = static_cast<int>(std::thread::hardware_concurrency());
-      if (threads <= 0) threads = 1;
+    for (std::size_t u = 0; u < n; ++u) {
+      if (!nodes_[u].HasDecided()) continue;
+      stats.decide_round[u] = 0;
+      stats.first_decide_round = stats.last_decide_round = 0;
+      --undecided_;
     }
-    shards_ = std::clamp<std::int64_t>(n_ / kMinShardNodes, 1, kMaxShards);
-    lanes_ = static_cast<int>(std::min<std::int64_t>(threads, shards_));
-    pool_ = lanes_ > 1 ? &util::ThreadPool::Shared() : nullptr;
-    // Prefetch runs on the persistent topology lane; only worth it at
-    // sizes where a round costs real work. Gated on threads > 1 so
-    // `threads = 1` keeps the round loop itself single-threaded.
-    // Prefetch composes with the composition fast path: the checker (or
-    // the cert lane's copy) reads the claimed spans right after the
-    // topology section, and the next round's overlapped build (which would
-    // invalidate them) only launches after the send phase — the lane drain
-    // at the top of the next Step orders the accesses.
-    prefetch_enabled_ = options_.prefetch_topology && threads > 1 &&
-                        n_ >= 2 * kMinShardNodes && adversary_.oblivious();
-    // Async certification excludes exactly the configurations that read
-    // checker state mid-round: fail-fast (the verdict gates the round) and
-    // a flight recorder (its per-round kCheckerWindow track). stats() is
-    // the rendezvous for everything else.
-    async_cert_ = checker_.has_value() && options_.async_certification &&
-                  !options_.fail_fast_on_tinterval && rec_ == nullptr &&
-                  threads > 1;
-    shard_accum_.assign(static_cast<std::size_t>(shards_), ShardAccum{});
-    if (fused_enabled_) {
-      staged_accum_.assign(static_cast<std::size_t>(shards_), ShardAccum{});
-    }
-    shard_slots_.resize(static_cast<std::size_t>(shards_));
-
-    for (int i = 0; i < options_.flood_probes; ++i) {
-      const graph::NodeId src = (i == 0) ? graph::NodeId{0} : RandomSource();
-      probes_.emplace_back(n_, src, 1);
-      probe_started_.push_back(0);
-      // n == 1: trivially complete at construction — it did run, so it
-      // counts as spawned; leave the slot dead (respawning would complete
-      // instantly forever).
-      if (probes_.back().complete()) {
-        probe_started_.back() = 1;
-        ++probes_spawned_;
-        RecordProbeCompletion(static_cast<std::size_t>(i), probes_.back());
-      }
-    }
-    for (graph::NodeId u = 0; u < n_; ++u) {
-      if (nodes_[static_cast<std::size_t>(u)].HasDecided()) {
-        RecordDecision(u, 0);
-      }
-    }
-    if (undecided_ == 0) finished_ = true;
-  }
-
-  [[nodiscard]] graph::NodeId RandomSource() {
-    return static_cast<graph::NodeId>(
-        probe_rng_.UniformU64(static_cast<std::uint64_t>(n_)));
-  }
-
-  void StepProbes(const graph::Graph& g) {
-    for (std::size_t i = 0; i < probes_.size(); ++i) {
-      FloodProbe& p = probes_[i];
-      if (p.complete()) continue;  // dead slot (n == 1)
-      // A probe counts as spawned only once an executed round reaches its
-      // start round — a staggered respawn whose start lies beyond the end
-      // of the run never becomes a probe (it would otherwise show up as a
-      // phantom never-started probe and understate the completion rate).
-      if (probe_started_[i] == 0) {
-        if (round_ < p.start_round()) continue;
-        probe_started_[i] = 1;
-        ++probes_spawned_;
-        if (rec_ != nullptr) {
-          rec_->Emit({.kind = obs::EventKind::kProbeSpawn,
-                      .round = round_,
-                      .t_ns = rec_->NowNs(),
-                      .a = static_cast<std::int64_t>(i),
-                      .b = p.source()});
-        }
-      }
-      p.Push(round_, g);
-      if (!p.complete()) continue;
-      RecordProbeCompletion(i, p);
-      // Stagger: relaunch this slot from a fresh source at round 2c. Start
-      // rounds are sampled at geometrically spaced points of the run, and
-      // the probe work stays O(E·d·log rounds) total instead of O(E·rounds).
-      p = FloodProbe(n_, RandomSource(), 2 * round_);
-      probe_started_[i] = 0;
-    }
-  }
-
-  void RecordProbeCompletion(std::size_t slot, const FloodProbe& p) {
-    ++probes_completed_;
-    probe_max_rounds_ = std::max(probe_max_rounds_, p.completion_rounds());
-    probe_total_rounds_ += static_cast<double>(p.completion_rounds());
-    if (rec_ != nullptr) {
-      rec_->Emit({.kind = obs::EventKind::kProbeComplete,
-                  .round = round_,
-                  .t_ns = rec_->NowNs(),
-                  .a = static_cast<std::int64_t>(slot),
-                  .b = p.completion_rounds()});
-    }
-  }
-
-  [[nodiscard]] FloodingSummary FloodingSnapshot() const {
-    FloodingSummary s;
-    s.probes = probes_spawned_;
-    s.completed = probes_completed_;
-    s.max_rounds = probe_max_rounds_;
-    if (probes_completed_ > 0) {
-      s.mean_rounds =
-          probe_total_rounds_ / static_cast<double>(probes_completed_);
-    }
-    return s;
-  }
-
-  void RecordDecision(graph::NodeId u, std::int64_t at) {
-    stats_.decide_round[static_cast<std::size_t>(u)] = at;
-    if (stats_.first_decide_round < 0) stats_.first_decide_round = at;
-    stats_.last_decide_round = std::max(stats_.last_decide_round, at);
-    --undecided_;
+    if (undecided_ == 0) driver_.Finish();
   }
 
   std::vector<A> nodes_;
-  Adversary& adversary_;
-  EngineOptions options_;
   graph::NodeId n_ = 0;
-  util::Rng probe_rng_;
-
-  // Run state (lazily initialized by the first Step()).
-  bool started_ = false;
-  bool finished_ = false;
+  // Declared after the nodes: the driver's lanes join in its destructor,
+  // before the nodes (which back this AdversaryView) are destroyed.
+  RoundDriver driver_;
   bool run_called_ = false;
-  std::int64_t round_ = 0;
   std::int64_t undecided_ = 0;
-  RunStats stats_;
-  std::optional<graph::TIntervalChecker> checker_;
-  std::vector<FloodProbe> probes_;
-  std::vector<char> probe_started_;  // parallel to probes_
-  std::int64_t probes_spawned_ = 0;
-  std::int64_t probes_completed_ = 0;
-  std::int64_t probe_max_rounds_ = -1;
-  double probe_total_rounds_ = 0.0;
+
   // Engine-lifetime arrays live in one arena: a single max-aligned chunk
   // per array instead of vector headers + allocator round-trips, destroyed
-  // wholesale (see ~Engine for the non-trivial Message case).
+  // wholesale (see ~Engine for the non-trivial Message case). Both arrays
+  // are double-buffered under fused send/deliver; live_ names the half the
+  // current round delivers from.
   util::Arena arena_;
-  std::span<typename A::Message> outbox_;  // raw slots, one per node
-  std::span<unsigned char> sent_;          // 1 iff the slot is live
-  bool need_delta_ = false;       // a checker or trace consumes deltas
-  bool use_composition_ = false;  // checker rides the adversary's
-                                  // composition claim — no delta needed
-  graph::DynGraph topo_{0};       // the one live topology
-  graph::TopologyDelta delta_;    // reused round-over-round delta buffer
-
-  // Churn-adaptive topology sub-path state (see kChurnHigh/kChurnLow).
-  bool topo_direct_supported_ = true;  // adversary has RoundEdgesInto
-  bool topo_use_direct_ = false;       // churn-hysteresis preference
-  bool churn_seeded_ = false;
-  double churn_ewma_ = 0.0;
-  std::int64_t topo_direct_rounds_ = 0;
-  std::int64_t topo_delta_rounds_ = 0;
+  std::span<Message> outbox_[2];      // raw slots, one per node
+  std::span<unsigned char> sent_[2];  // 1 iff the slot is live
+  int live_ = 0;
+  bool fused_ = false;
+  bool staged_valid_ = false;
+  std::vector<ShardAccum> shard_accum_;
+  std::vector<ShardAccum> staged_accum_;
+  std::vector<std::vector<const Message*>> shard_slots_;
 
   // Delivery-path round counters (dense = all-sent rounds).
   std::int64_t dense_rounds_ = 0;
   std::int64_t gather_rounds_ = 0;
-
-  // Parallel geometry (EnsureStarted) and per-shard state.
-  util::ThreadPool* pool_ = nullptr;
-  int lanes_ = 1;
-  std::int64_t shards_ = 1;
-  bool prefetch_enabled_ = false;
-  bool async_cert_ = false;
-  bool fused_enabled_ = false;
-  std::vector<ShardAccum> shard_accum_;
-  std::vector<std::vector<const typename A::Message*>> shard_slots_;
-
-  // Pipelining state. The double-buffered outbox halves (fused mode flips
-  // live_buf_ each round; outbox_/sent_ above always alias the live half),
-  // the staged-send accumulators, and the topology-prefetch result slots
-  // (written by the topology lane, read after the drain at the top of the
-  // next Step). prefetch_ns_/cert_ns_ are lane-side wall clocks surfaced
-  // as EngineTimings::aux_*_ns at the rendezvous points.
-  std::span<typename A::Message> outbox_bufs_[2];
-  std::span<unsigned char> sent_bufs_[2];
-  int live_buf_ = 0;
-  bool staged_valid_ = false;
-  std::vector<ShardAccum> staged_accum_;
-  std::int64_t prefetched_round_ = -1;
-  RoundTopology prefetch_made_;
-  graph::TopologyDelta prefetch_delta_;
-  bool prefetch_pending_ = false;
-  std::int64_t prefetch_ns_ = 0;
-  std::int64_t cert_ns_ = 0;
-
-  // Memory accounting (EnsureStarted): budget_ points at the caller's
-  // MemoryBudget or the engine-owned fallback; gauge pointers are resolved
-  // once and stable.
-  util::MemoryBudget owned_budget_;
-  util::MemoryBudget* budget_ = nullptr;
-  util::MemoryGauge* mem_outbox_ = nullptr;
-  util::MemoryGauge* mem_programs_ = nullptr;
-  util::MemoryGauge* mem_topology_ = nullptr;
-  util::MemoryGauge* mem_topology_scratch_ = nullptr;
-  util::MemoryGauge* mem_adversary_ = nullptr;
-  util::MemoryGauge* mem_checker_ = nullptr;
-
-  // Observability sinks (EnsureStarted): both null/off by default. The
-  // recorder pointer gate is the whole off-switch — no event code runs
-  // without it. Emission happens outside the timed windows, and nothing
-  // here feeds back into the run, so RunStats is bit-identical either way.
-  obs::FlightRecorder* rec_ = nullptr;
-  std::unique_ptr<obs::MetricsRegistry> registry_;
-  obs::Histogram* hist_round_edges_ = nullptr;
-  obs::Histogram* hist_round_deliveries_ = nullptr;
-  obs::Histogram* hist_round_send_ns_ = nullptr;
-  obs::Histogram* hist_round_deliver_ns_ = nullptr;
-  obs::Histogram* hist_round_total_ns_ = nullptr;
-  /// Anomaly plane (EngineOptions::anomaly, behind the registry gate).
-  /// Observed after the final clock read; never consulted by the engine.
-  std::unique_ptr<obs::AnomalyEngine> anomaly_;
-  /// This round's auxiliary-lane drain wait (anomaly signal; reset per
-  /// Step, accumulated by DrainTopoLane).
-  std::int64_t aux_wait_ns_round_ = 0;
-  /// CI fault hook (SDN_FAULT_DELIVER_SLEEP_MS / SDN_FAULT_DELIVER_ROUND,
-  /// read once in EnsureStarted): wall-clock stall of one deliver window.
-  std::int64_t fault_sleep_ms_ = 0;
-  std::int64_t fault_round_ = 1;
-  const char* obs_algo_label_ = nullptr;  // last emitted algo-phase label
-  std::int64_t obs_algo_index_ = -1;
-  std::int64_t obs_merges_total_ = 0;
-  std::int64_t obs_stable_edges_ = -1;  // last emitted checker state
-  bool obs_checker_ok_ = true;
-  std::int64_t obs_cert_ = -1;          // last emitted certified-T
-  std::int64_t obs_hw_bits_ = 0;  // last emitted bandwidth high water
-
-  // Auxiliary pipelining lanes — declared last so their destructors (which
-  // join any in-flight task) run before the members those tasks touch
-  // (adversary_, topo_, delta_, checker_, the prefetch slots) are
-  // destroyed. cert_lane_ is mutable because const stats() is its
-  // deterministic rendezvous.
-  util::AuxLane topo_lane_;
-  mutable util::AuxLane cert_lane_{kCertQueueDepth};
 };
 
 }  // namespace sdn::net

@@ -40,8 +40,12 @@ std::string EngineTimings::OneLine(std::int64_t rounds,
   os << std::fixed << std::setprecision(2) << "total=" << ms(total_ns)
      << "ms (topology=" << ms(topology_ns) << " validate=" << ms(validate_ns)
      << " probe=" << ms(probe_ns) << " send=" << ms(send_ns)
-     << " deliver=" << ms(deliver_ns) << " other=" << ms(other_ns) << ")"
-     << std::setprecision(0) << " rounds/s=" << RoundsPerSec(rounds)
+     << " deliver=" << ms(deliver_ns) << " other=" << ms(other_ns) << ")";
+  // Lane work hidden behind the critical path: outside the partition, so
+  // printed beside it, and only when a lane ran.
+  if (aux_topology_ns != 0) os << " aux_topology=" << ms(aux_topology_ns);
+  if (aux_validate_ns != 0) os << " aux_validate=" << ms(aux_validate_ns);
+  os << std::setprecision(0) << " rounds/s=" << RoundsPerSec(rounds)
      << " edges/s=" << EdgesPerSec(edges);
   return os.str();
 }

@@ -32,7 +32,7 @@ struct EngineTimings {
   std::int64_t topology_ns = 0;  ///< adversary round + DynGraph + trace
   std::int64_t validate_ns = 0;  ///< streaming T-interval checker
   std::int64_t probe_ns = 0;     ///< flooding-time probes
-  std::int64_t send_ns = 0;      ///< OnSend + bandwidth accounting
+  std::int64_t send_ns = 0;      ///< OnSendInto + bandwidth accounting
   std::int64_t deliver_ns = 0;   ///< inbox gather + OnReceive
   std::int64_t other_ns = 0;     ///< residual: merges, bookkeeping, tracing
   std::int64_t total_ns = 0;     ///< sum of all Step() wall time

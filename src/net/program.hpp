@@ -4,25 +4,29 @@
 //
 //   using Message = ...;   // what a node broadcasts each round
 //   using Output  = ...;   // what a node eventually decides
-//   std::optional<Message> OnSend(Round r);            // may be silent
-//   void OnReceive(Round r, Inbox<Message> in);        // neighbor msgs
+//   bool OnSendInto(Round r, Message& slot);       // false = silent
+//   void OnReceive(Round r, Inbox<Message> in);    // neighbor msgs
 //   bool HasDecided() const;
 //   std::optional<Output> output() const;
 //   double PublicState() const;          // what adaptive adversaries may see
 //   static std::size_t MessageBits(const Message&);  // honest wire size
 //
-// The engine calls OnSend for every node, then delivers each node the
-// multiset of its current neighbors' messages (anonymous local broadcast),
-// then calls OnReceive. A decided node keeps participating (helping others
-// terminate) unless the algorithm itself chooses to go silent.
+// Each round the engine has every node compose its message in place into
+// its own outbox slot (OnSendInto), then delivers each node the multiset of
+// its current neighbors' messages (anonymous local broadcast) through
+// OnReceive. A decided node keeps participating (helping others terminate)
+// unless the algorithm itself chooses to go silent.
 //
-// Delivery is zero-copy, with two backings behind the same Inbox view:
+// Memory layout. The engine owns one raw outbox: a Message slot per node,
+// reused every round (two of them, alternating, under fused send/deliver),
+// plus a separate sent-flag byte per node, so silentness never touches a
+// message cache line. Delivery is zero-copy, with two backings behind the
+// same Inbox view:
 //
-//   * dense (the common case): when every node produced a message this
-//     round, an Inbox is the graph's own CSR neighbor-id span plus the base
-//     pointer of the engine's per-round outbox — entry i is
-//     outbox[neighbors[i]], read in place with no per-receiver gather at
-//     all.
+//   * dense (the common case): when every node sent this round, an Inbox is
+//     the graph's own CSR neighbor-id span plus the base pointer of the
+//     outbox — entry i is outbox[neighbors[i]], read in place with no
+//     per-receiver gather at all.
 //   * sparse (silent-node rounds, tests): a gather of `const M*` pointers
 //     into the outbox, one per messaging neighbor.
 //
@@ -45,12 +49,9 @@ namespace sdn::net {
 
 using Round = std::int64_t;
 
-/// Zero-copy view of the messages delivered to one node in one round.
-/// Sparse backing: a span over stable pointers into the engine's outbox.
-/// Dense backing: the receiver's CSR neighbor-id span plus the outbox base
-/// pointer (every slot occupied, so entry i is outbox[ids[i]]).
-/// Dereferencing yields const M&; the pointed-to messages are shared by
-/// every receiver.
+/// Zero-copy view of the messages delivered to one node in one round, over
+/// either backing described above. Dereferencing yields const M&; the
+/// pointed-to messages are shared by every receiver.
 template <typename M>
 class Inbox {
  public:
@@ -136,49 +137,36 @@ class Inbox {
   std::span<const std::int32_t> ids_;  // dense backing: neighbor ids
 };
 
+/// The send contract. OnSendInto(r, slot) composes the node's round-r message
+/// into `slot` and returns whether the node sent. Slots are reused across
+/// rounds, so a sender must overwrite every field a receiver may read (only
+/// payload lanes beyond the declared count may keep stale bytes); a silent
+/// node may leave the slot in any state, since no receiver sees it.
+///
+/// Speculative calls: under fused send/deliver the engine composes round
+/// r+1's message immediately after the node's round-r OnReceive — the
+/// per-node call order (..., OnReceive(r), OnSendInto(r+1), OnReceive(r+1),
+/// ...) is exactly the serial engine's, but when the run ends or aborts at
+/// round r the trailing OnSendInto(r+1) has already happened and its output
+/// is discarded. A program must therefore tolerate one final OnSendInto
+/// whose message is never delivered: any state it mutates (schedule-window
+/// caches, sent-token bookkeeping) must be invisible to everything read
+/// after the run — HasDecided, output, PublicState, ObsPhase.
 template <typename A>
 concept NodeProgram = requires(
     A a, const A ca, Round r,
     Inbox<typename A::Message> inbox,
+    typename A::Message& slot,
     const typename A::Message& msg) {
   typename A::Message;
   typename A::Output;
-  { a.OnSend(r) } -> std::same_as<std::optional<typename A::Message>>;
+  { a.OnSendInto(r, slot) } -> std::same_as<bool>;
   { a.OnReceive(r, inbox) } -> std::same_as<void>;
   { ca.HasDecided() } -> std::convertible_to<bool>;
   { ca.output() } -> std::same_as<std::optional<typename A::Output>>;
   { ca.PublicState() } -> std::convertible_to<double>;
   { A::MessageBits(msg) } -> std::convertible_to<std::size_t>;
 };
-
-/// Optional extension of NodeProgram: programs that can compose their
-/// round-r message straight into a caller-provided slot, returning whether
-/// they sent. The engine uses this to write each node's message in place
-/// into its outbox slot — OnSend's `std::optional<Message>` return path
-/// costs a zero-init plus two full Message copies per send, which for a
-/// cache-line-aligned wire struct is most of the send phase. A provider
-/// must overwrite every field a receiver may read (slots are reused across
-/// rounds; only payload lanes beyond the declared count may keep stale
-/// bytes), and OnSendInto(r, m) must produce the same send decision and
-/// the same readable fields as OnSend(r) — the engine picks whichever path
-/// exists per program type, and the property suites pin RunStats equality
-/// between a direct-send program and its OnSend behavior.
-///
-/// Speculative calls: under fused send/deliver the engine composes round
-/// r+1's message immediately after the node's round-r OnReceive — the
-/// per-node call order (..., OnReceive(r), OnSendInto(r+1),
-/// OnReceive(r+1), ...) is exactly the serial engine's, but when the run
-/// ends or aborts at round r the trailing OnSendInto(r+1) has already
-/// happened and its output is discarded. A provider must therefore
-/// tolerate one final OnSendInto whose message is never delivered: any
-/// state it mutates (schedule-window caches, sent-token bookkeeping) must
-/// be invisible to everything read after the run — HasDecided, output,
-/// PublicState, ObsPhase.
-template <typename A>
-concept DirectSendProgram =
-    NodeProgram<A> && requires(A a, Round r, typename A::Message& m) {
-      { a.OnSendInto(r, m) } -> std::same_as<bool>;
-    };
 
 /// What a node reports about where it is inside its algorithm, for the
 /// flight recorder's algorithm-phase track (obs::EventKind::kAlgoPhase).

@@ -84,21 +84,26 @@ void AnomalyEngine::Observe(const RoundSignals& s,
       }
     }
     if (track == nullptr) {
-      gauges_.push_back({m.subsystem, m.bytes});  // first sight: baseline only
+      gauges_.push_back({m.subsystem, m.bytes, 1});  // first sight: baseline
       continue;
     }
-    if (track->last_bytes > 0) {
-      const std::int64_t step = m.bytes - track->last_bytes;
+    // Armed after min_samples rounds, like the spike rule: warm-up growth
+    // is not an anomaly. Measured against the gauge's running peak, not
+    // the previous round, so a level that oscillates below a peak it has
+    // already reached (spine-gnp's era-overlap rounds double the spine
+    // every other round) never fires.
+    if (track->samples >= options_.min_samples && track->peak_bytes > 0) {
       const std::int64_t threshold = std::max(
           options_.memory_jump_floor_bytes,
           static_cast<std::int64_t>(options_.memory_jump_factor *
-                                    static_cast<double>(track->last_bytes)));
-      if (step > threshold) {
+                                    static_cast<double>(track->peak_bytes)));
+      if (m.bytes - track->peak_bytes > threshold) {
         Fire(AnomalyRule::kMemoryJump, s.round, m.bytes,
-             track->last_bytes + threshold, m.subsystem);
+             track->peak_bytes + threshold, m.subsystem);
       }
     }
-    track->last_bytes = m.bytes;
+    track->peak_bytes = std::max(track->peak_bytes, m.bytes);
+    ++track->samples;
   }
 
   if (s.certified_T >= 0) {

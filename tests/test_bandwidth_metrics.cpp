@@ -111,6 +111,22 @@ TEST(EngineTimings, ThroughputMath) {
   EXPECT_NE(line.find("rounds/s=50"), std::string::npos);
   EXPECT_NE(line.find("deliver="), std::string::npos);
   EXPECT_NE(line.find("other="), std::string::npos);
+  EXPECT_EQ(line.find("aux_"), std::string::npos);  // no lane ran
+}
+
+TEST(EngineTimings, OneLinePrintsAuxLanesWhenTheyRan) {
+  EngineTimings t;
+  t.total_ns = 10'000'000;
+  t.aux_topology_ns = 3'000'000;
+  EXPECT_NE(t.OneLine(1, 1).find(") aux_topology=3.00 rounds/s="),
+            std::string::npos);
+  t.aux_validate_ns = 4'500'000;
+  EXPECT_NE(t.OneLine(1, 1).find(") aux_topology=3.00 aux_validate=4.50 "),
+            std::string::npos);
+  t.aux_topology_ns = 0;
+  const std::string line = t.OneLine(1, 1);
+  EXPECT_NE(line.find(") aux_validate=4.50 rounds/s="), std::string::npos);
+  EXPECT_EQ(line.find("aux_topology"), std::string::npos);
 }
 
 // The named phases plus the residual partition total_ns exactly — on a real

@@ -37,9 +37,10 @@ class InboxCounter {
   InboxCounter(Round decide_after, bool silent = false)
       : decide_after_(decide_after), silent_(silent) {}
 
-  std::optional<Message> OnSend(Round) {
-    if (silent_) return std::nullopt;
-    return Message{};
+  bool OnSendInto(Round, Message& m) {
+    if (silent_) return false;
+    m = Message{};
+    return true;
   }
   void OnReceive(Round r, Inbox<Message> inbox) {
     seen_ += static_cast<std::int64_t>(inbox.size());
@@ -328,7 +329,6 @@ class CopySpy {
   struct Message {
     std::int64_t payload = 0;
     Message() = default;
-    explicit Message(std::int64_t p) : payload(p) {}
     Message(const Message& other) : payload(other.payload) { ++copies; }
     Message& operator=(const Message& other) {
       payload = other.payload;
@@ -348,9 +348,10 @@ class CopySpy {
         decide_after_(decide_after),
         silent_odd_rounds_(silent_odd_rounds) {}
 
-  std::optional<Message> OnSend(Round r) {
-    if (silent_odd_rounds_ && id_ % 2 == 1 && r % 2 == 1) return std::nullopt;
-    return Message(r);
+  bool OnSendInto(Round r, Message& m) {
+    if (silent_odd_rounds_ && id_ % 2 == 1 && r % 2 == 1) return false;
+    m.payload = r;
+    return true;
   }
   void OnReceive(Round r, Inbox<Message> inbox) {
     for (const Message& m : inbox) sum_ += m.payload;
@@ -370,8 +371,6 @@ class CopySpy {
   std::int64_t sum_ = 0;
   bool decided_ = false;
 };
-
-static_assert(NodeProgram<CopySpy>);
 
 TEST(Engine, DeliveryMakesZeroMessageCopies) {
   // All-sent rounds take the dense CSR path, rounds with silent nodes the
@@ -404,9 +403,10 @@ class AliasProbe {
   AliasProbe(graph::NodeId id, Round decide_after, bool all_send = false)
       : id_(id), decide_after_(decide_after), all_send_(all_send) {}
 
-  std::optional<Message> OnSend(Round r) {
-    if (!all_send_ && id_ != 0) return std::nullopt;
-    return Message{id_ == 0 ? r * 100 : id_ * 1000 + r};
+  bool OnSendInto(Round r, Message& m) {
+    if (!all_send_ && id_ != 0) return false;
+    m.payload = id_ == 0 ? r * 100 : id_ * 1000 + r;
+    return true;
   }
   void OnReceive(Round r, Inbox<Message> inbox) {
     if (inbox.dense()) ++dense_rounds_;
@@ -440,8 +440,6 @@ class AliasProbe {
   std::int64_t dense_rounds_ = 0;
   bool decided_ = false;
 };
-
-static_assert(NodeProgram<AliasProbe>);
 
 TEST(Engine, ReceiversShareOneMessageInstance) {
   // Star: node 0 broadcasts to 5 leaves. Every leaf's inbox entry must be
@@ -511,7 +509,8 @@ TEST(Engine, DenseDeliveryAliasesOutboxSlots) {
 }
 
 /// Sends from everyone on even rounds but only from even ids on odd rounds,
-/// so a run mixes dense (all-sender) and sparse (gather) rounds.
+/// so a run mixes dense (all-sender) and sparse (gather) rounds. A silent
+/// round poisons the slot: its stale contents must never reach an inbox.
 class Alternator {
  public:
   struct Message {
@@ -522,12 +521,19 @@ class Alternator {
   Alternator(graph::NodeId id, Round decide_after)
       : id_(id), decide_after_(decide_after) {}
 
-  std::optional<Message> OnSend(Round r) {
-    if (r % 2 == 1 && id_ % 2 == 1) return std::nullopt;
-    return Message{r * 31 + id_};
+  bool OnSendInto(Round r, Message& m) {
+    if (r % 2 == 1 && id_ % 2 == 1) {
+      m.payload = -1;  // deliberately poison the slot: must never be seen
+      return false;
+    }
+    m.payload = r * 31 + id_;
+    return true;
   }
   void OnReceive(Round r, Inbox<Message> inbox) {
-    for (const Message& m : inbox) sum_ += m.payload;
+    for (const Message& m : inbox) {
+      SDN_CHECK(m.payload >= 0);  // a poisoned slot leaked into an inbox
+      sum_ += m.payload;
+    }
     if (r >= decide_after_) decided_ = true;
   }
   [[nodiscard]] bool HasDecided() const { return decided_; }
@@ -543,8 +549,6 @@ class Alternator {
   std::int64_t sum_ = 0;
   bool decided_ = false;
 };
-
-static_assert(NodeProgram<Alternator>);
 
 /// Promises T=2 but alternates between edge-disjoint connected graphs, so no
 /// 2-window has a stable connected subgraph.
@@ -591,30 +595,61 @@ TEST(Engine, RunTwiceRejected) {
   EXPECT_THROW(engine.Run(), util::CheckError);
 }
 
-TEST(Engine, ParallelStatsMatchSerial) {
-  // n = 200 -> 3 shards, so threads = 4 genuinely exercises the pool path;
-  // every stat except wall-clock timings must be bit-identical to serial.
+/// Runs one program per node, built by `make(u)`, on Cycle(200) — 3
+/// shards, so threads = 2 genuinely takes the pool path — at threads 1/2
+/// with fused send/deliver off and on. Fused staging hands every program a
+/// trailing speculative OnSendInto after its last OnReceive; every stat
+/// except wall-clock timings, and every output, must match the serial
+/// unfused run.
+template <typename Make>
+void CheckThreadAndFusedInvariance(Make make) {
+  using Node = decltype(make(graph::NodeId{0}));
   const graph::NodeId n = 200;
-  const auto run = [n](int threads) {
+  const auto run = [&](int threads, bool fused) {
     StaticAdversary adv(graph::Cycle(n));
-    std::vector<InboxCounter> nodes(
-        static_cast<std::size_t>(n), InboxCounter(25));
+    std::vector<Node> nodes;
+    for (graph::NodeId u = 0; u < n; ++u) nodes.push_back(make(u));
     EngineOptions opts;
     opts.threads = threads;
-    Engine<InboxCounter> engine(std::move(nodes), adv, opts);
-    return engine.Run();
+    opts.fused_send_deliver = fused;
+    Engine<Node> engine(std::move(nodes), adv, opts);
+    const RunStats stats = engine.Run();
+    std::vector<std::optional<typename Node::Output>> outputs;
+    for (graph::NodeId u = 0; u < n; ++u) {
+      outputs.push_back(engine.node(u).output());
+    }
+    return std::pair(stats, outputs);
   };
-  const RunStats serial = run(1);
-  const RunStats parallel = run(4);
-  EXPECT_EQ(serial.rounds, parallel.rounds);
-  EXPECT_EQ(serial.messages_sent, parallel.messages_sent);
-  EXPECT_EQ(serial.messages_delivered, parallel.messages_delivered);
-  EXPECT_EQ(serial.total_message_bits, parallel.total_message_bits);
-  EXPECT_EQ(serial.max_message_bits, parallel.max_message_bits);
-  EXPECT_EQ(serial.decide_round, parallel.decide_round);
-  EXPECT_EQ(serial.sends_per_node, parallel.sends_per_node);
-  EXPECT_EQ(serial.flooding.probes, parallel.flooding.probes);
-  EXPECT_EQ(serial.flooding.max_rounds, parallel.flooding.max_rounds);
+  const auto [serial, serial_out] = run(1, false);
+  for (const int threads : {1, 2}) {
+    for (const bool fused : {false, true}) {
+      if (threads == 1 && !fused) continue;  // that is the reference
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " fused=" + std::to_string(fused));
+      const auto [stats, out] = run(threads, fused);
+      EXPECT_EQ(serial_out, out);
+      EXPECT_EQ(serial.rounds, stats.rounds);
+      EXPECT_EQ(serial.messages_sent, stats.messages_sent);
+      EXPECT_EQ(serial.messages_delivered, stats.messages_delivered);
+      EXPECT_EQ(serial.total_message_bits, stats.total_message_bits);
+      EXPECT_EQ(serial.max_message_bits, stats.max_message_bits);
+      EXPECT_EQ(serial.decide_round, stats.decide_round);
+      EXPECT_EQ(serial.sends_per_node, stats.sends_per_node);
+      EXPECT_EQ(serial.flooding.probes, stats.flooding.probes);
+      EXPECT_EQ(serial.flooding.max_rounds, stats.flooding.max_rounds);
+    }
+  }
+}
+
+TEST(Engine, ThreadsAndFusedStagingLeaveRunsUnchanged) {
+  CheckThreadAndFusedInvariance(
+      [](graph::NodeId u) { return InboxCounter(25, u % 7 == 3); });
+  CheckThreadAndFusedInvariance(
+      [](graph::NodeId u) { return CopySpy(u, 25, true); });
+  CheckThreadAndFusedInvariance(
+      [](graph::NodeId u) { return AliasProbe(u, 25, u % 2 == 0); });
+  CheckThreadAndFusedInvariance(
+      [](graph::NodeId u) { return Alternator(u, 25); });
 }
 
 TEST(Engine, WrongSizeAdversaryRejected) {
@@ -622,89 +657,6 @@ TEST(Engine, WrongSizeAdversaryRejected) {
   std::vector<InboxCounter> nodes(2, InboxCounter(1));
   EXPECT_THROW((Engine<InboxCounter>(std::move(nodes), adv, {})),
                util::CheckError);
-}
-
-// ---------------------------------------------------------------------------
-// Direct-send (OnSendInto) programs.
-
-/// Alternator twin that composes its message in place via OnSendInto. The
-/// engine must produce the identical run, and silent decisions (return
-/// false) must keep the stale slot contents out of every inbox.
-class DirectAlternator {
- public:
-  using Message = Alternator::Message;
-  using Output = std::int64_t;
-
-  DirectAlternator(graph::NodeId id, Round decide_after)
-      : id_(id), decide_after_(decide_after) {}
-
-  std::optional<Message> OnSend(Round r) {
-    Message m;
-    if (!OnSendInto(r, m)) return std::nullopt;
-    return m;
-  }
-  bool OnSendInto(Round r, Message& m) {
-    if (r % 2 == 1 && id_ % 2 == 1) {
-      m.payload = -1;  // deliberately poison the slot: must never be seen
-      return false;
-    }
-    m.payload = r * 31 + id_;
-    return true;
-  }
-  void OnReceive(Round r, Inbox<Message> inbox) {
-    for (const Message& m : inbox) {
-      SDN_CHECK(m.payload >= 0);  // a poisoned slot leaked into an inbox
-      sum_ += m.payload;
-    }
-    if (r >= decide_after_) decided_ = true;
-  }
-  [[nodiscard]] bool HasDecided() const { return decided_; }
-  [[nodiscard]] std::optional<Output> output() const {
-    return decided_ ? std::optional<Output>(sum_) : std::nullopt;
-  }
-  [[nodiscard]] double PublicState() const { return 0.0; }
-  static std::size_t MessageBits(const Message&) { return 64; }
-
- private:
-  graph::NodeId id_;
-  Round decide_after_;
-  std::int64_t sum_ = 0;
-  bool decided_ = false;
-};
-
-static_assert(DirectSendProgram<DirectAlternator>);
-// Plain programs must keep taking the optional-returning path.
-static_assert(NodeProgram<Alternator> && !DirectSendProgram<Alternator>);
-
-TEST(Engine, DirectSendMatchesOptionalSend) {
-  // The same protocol via OnSendInto (composed in place in the outbox slot)
-  // and via OnSend (optional returned, moved into the slot) must produce
-  // bit-identical runs — and the DirectAlternator's OnReceive SDN_CHECK
-  // proves a declined slot's poisoned contents never reach an inbox.
-  const auto run = [](auto make_node) {
-    StaticAdversary adv(graph::Cycle(10));
-    using Node = decltype(make_node(graph::NodeId{0}));
-    std::vector<Node> nodes;
-    for (graph::NodeId u = 0; u < 10; ++u) nodes.push_back(make_node(u));
-    Engine<Node> engine(std::move(nodes), adv, {});
-    const RunStats stats = engine.Run();
-    std::vector<std::int64_t> outputs;
-    for (graph::NodeId u = 0; u < 10; ++u) {
-      outputs.push_back(*engine.node(u).output());
-    }
-    return std::pair(stats, outputs);
-  };
-  const auto [direct_stats, direct_out] =
-      run([](graph::NodeId u) { return DirectAlternator(u, 8); });
-  const auto [optional_stats, optional_out] =
-      run([](graph::NodeId u) { return Alternator(u, 8); });
-  EXPECT_EQ(direct_out, optional_out);
-  EXPECT_EQ(direct_stats.rounds, optional_stats.rounds);
-  EXPECT_EQ(direct_stats.messages_sent, optional_stats.messages_sent);
-  EXPECT_EQ(direct_stats.messages_delivered,
-            optional_stats.messages_delivered);
-  EXPECT_EQ(direct_stats.sends_per_node, optional_stats.sends_per_node);
-  EXPECT_EQ(direct_stats.decide_round, optional_stats.decide_round);
 }
 
 // ---------------------------------------------------------------------------

@@ -149,18 +149,18 @@ TEST(FailureInjection, AlarmRaisedOnDivergentSuffixNeighbor) {
   while (!node.Locate(suffix_round).in_suffix) ++suffix_round;
 
   // Quiet pre-suffix rounds: nothing received, no alarm possible.
+  algo::HjswyProgram::Message own, msg;
   for (Round r = 1; r < suffix_round; ++r) {
-    (void)node.OnSend(r);
+    (void)node.OnSendInto(r, own);
     node.OnReceive(r, {});
-    (void)stranger.OnSend(r);
+    (void)stranger.OnSendInto(r, msg);
     stranger.OnReceive(r, {});
   }
   EXPECT_FALSE(node.alarm_raised());
 
-  const auto msg = stranger.OnSend(suffix_round);
-  ASSERT_TRUE(msg.has_value());
-  (void)node.OnSend(suffix_round);
-  const algo::HjswyProgram::Message* slots[] = {&*msg};
+  ASSERT_TRUE(stranger.OnSendInto(suffix_round, msg));
+  (void)node.OnSendInto(suffix_round, own);
+  const algo::HjswyProgram::Message* slots[] = {&msg};
   node.OnReceive(suffix_round, Inbox<algo::HjswyProgram::Message>(slots));
   EXPECT_TRUE(node.alarm_raised());
 }
@@ -178,11 +178,11 @@ TEST(FailureInjection, QuietIdenticalSuffixRaisesNoAlarm) {
   algo::HjswyProgram twin(0, 7, options, base.Fork(0), twin_pool);
   Round suffix_round = 1;
   while (!node.Locate(suffix_round).in_suffix) ++suffix_round;
+  algo::HjswyProgram::Message own, msg;
   for (Round r = 1; r <= suffix_round; ++r) {
-    const auto msg = twin.OnSend(r);
-    ASSERT_TRUE(msg.has_value());
-    (void)node.OnSend(r);
-    const algo::HjswyProgram::Message* slots[] = {&*msg};
+    ASSERT_TRUE(twin.OnSendInto(r, msg));
+    (void)node.OnSendInto(r, own);
+    const algo::HjswyProgram::Message* slots[] = {&msg};
     node.OnReceive(r, Inbox<algo::HjswyProgram::Message>(slots));
   }
   EXPECT_FALSE(node.alarm_raised());

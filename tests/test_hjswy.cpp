@@ -205,10 +205,10 @@ TEST(Hjswy, BoundedMessageFitsLogBudget) {
   util::Rng rng(2);
   SketchPool pool(1, HjswyProgram::RequiredPoolColumns(options));
   HjswyProgram node(0, 1234, options, rng.Fork(0), pool);
-  const auto msg = node.OnSend(1);
-  ASSERT_TRUE(msg.has_value());
+  HjswyProgram::Message msg;
+  ASSERT_TRUE(node.OnSendInto(1, msg));
   // Default knobs must fit 64·log2(16) = 256 bits so N >= 16 benches run.
-  EXPECT_LE(HjswyProgram::MessageBits(*msg), 256u);
+  EXPECT_LE(HjswyProgram::MessageBits(msg), 256u);
 }
 
 TEST(Hjswy, DecidedNodesKeepBroadcasting) {

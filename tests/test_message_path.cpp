@@ -77,8 +77,8 @@ bool SendsIn(graph::NodeId id, net::Round r) {
 }
 
 /// Records the sender ids of its last inbox and the backing the engine
-/// chose. Composes in place (DirectSendProgram), so under an oblivious
-/// adversary the fused send/deliver staging path is exercised too.
+/// chose. Under an oblivious adversary the fused send/deliver staging path
+/// is exercised too.
 struct InboxRecorder {
   struct Message {
     graph::NodeId sender = -1;
@@ -94,11 +94,6 @@ struct InboxRecorder {
     m.sender = id;
     m.round = r;
     return true;
-  }
-  std::optional<Message> OnSend(net::Round r) {
-    Message m;
-    if (!OnSendInto(r, m)) return std::nullopt;
-    return m;
   }
   void OnReceive(net::Round r, net::Inbox<Message> inbox) {
     last_round = r;
@@ -124,8 +119,6 @@ struct InboxRecorder {
   bool stale = false;  // some inbox entry carried another round's message
   std::vector<graph::NodeId> last_senders;
 };
-
-static_assert(net::DirectSendProgram<InboxRecorder>);
 
 void CheckInboxOracle(const std::string& adversary, int threads) {
   SCOPED_TRACE(adversary + " threads=" + std::to_string(threads));

@@ -471,21 +471,40 @@ TEST(AnomalyEngine, AuxLaneStallFiresAboveThreshold) {
   EXPECT_STREQ(engine.records().front().signal, "aux_lane_wait_ns");
 }
 
-TEST(AnomalyEngine, MemoryJumpBaselinesFirstSightThenFiresOnStep) {
-  AnomalyEngine engine(TightOptions(), nullptr, nullptr);
-  const MemorySample first[] = {{"outbox", 1000}};
-  engine.Observe(Signals(1), first);  // first sight: baseline only
+TEST(AnomalyEngine, MemoryJumpArmsAfterWarmUpThenFiresAbovePeak) {
+  AnomalyEngine engine(TightOptions(), nullptr, nullptr);  // min_samples 4
+  const MemorySample warm_up[] = {{"outbox", 1000}};
+  engine.Observe(Signals(1), warm_up);  // first sight: baseline only
+  const MemorySample early_jump[] = {{"outbox", 3000}};
+  engine.Observe(Signals(2), early_jump);  // warm-up growth: not armed yet
+  engine.Observe(Signals(3), warm_up);
+  engine.Observe(Signals(4), warm_up);
   EXPECT_EQ(engine.total_fired(), 0);
   const MemorySample jump[] = {{"outbox", 5000}};
-  engine.Observe(Signals(2), jump);  // step 4000 > max(100, 0.5 x 1000)
+  engine.Observe(Signals(5), jump);  // 5000 - peak 3000 > max(100, 0.5 x 3000)
   ASSERT_EQ(engine.records().size(), 1u);
   const AnomalyRecord& rec = engine.records().front();
   EXPECT_EQ(rec.rule, AnomalyRule::kMemoryJump);
+  EXPECT_EQ(rec.round, 5);
   EXPECT_EQ(rec.value, 5000);
+  EXPECT_EQ(rec.threshold, 4500);
   EXPECT_STREQ(rec.signal, "outbox");
   const MemorySample settle[] = {{"outbox", 5050}};
-  engine.Observe(Signals(4), settle);  // small step, past cooldown: silent
+  engine.Observe(Signals(7), settle);  // small step, past cooldown: silent
   EXPECT_EQ(engine.total_fired(), 1);
+}
+
+TEST(AnomalyEngine, MemoryJumpIgnoresLevelOscillatingBelowItsPeak) {
+  // spine-gnp's era-overlap rounds double the live topology every other
+  // round: the gauge alternates 4.1 / 6.6 MB for the whole run. Each rise
+  // is > 0.5 x the previous level, but never above the peak already seen.
+  AnomalyEngine engine(AnomalyOptions{}, nullptr, nullptr);
+  for (std::int64_t r = 1; r <= 128; ++r) {
+    const MemorySample level[] = {
+        {"topology", r % 2 == 1 ? 4'100'000 : 6'600'000}};
+    engine.Observe(Signals(r), level);
+  }
+  EXPECT_EQ(engine.total_fired(), 0);
 }
 
 TEST(AnomalyEngine, CertRegressionOnDropAndFirstBadWindow) {

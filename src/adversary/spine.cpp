@@ -1,14 +1,11 @@
 #include "adversary/spine.hpp"
 
 #include <algorithm>
-#include <bit>
 #include <cmath>
 #include <cstdint>
-#include <memory>
-#include <mutex>
 #include <numeric>
 #include <sstream>
-#include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "graph/generators.hpp"
@@ -83,121 +80,67 @@ std::string SpineSpec::Name() const {
   return os.str();
 }
 
-graph::Graph MakeSpine(const SpineSpec& spec, graph::NodeId n, util::Rng& rng) {
+SpineScratch::SpineScratch(graph::NodeId n)
+    : rows(graph::PairBalancedRows(n, util::NodeShards(n))) {}
+
+std::int64_t SpineScratch::Bytes() const {
+  auto total = static_cast<std::int64_t>(rows.capacity() *
+                                         sizeof(graph::NodeId));
+  for (const std::vector<graph::Edge>& e : shard_edges) {
+    total += static_cast<std::int64_t>(e.capacity() * sizeof(graph::Edge));
+  }
+  return total;
+}
+
+void MakeSpineEdges(const SpineSpec& spec, graph::NodeId n, util::Rng& rng,
+                    const util::ShardRunner& run, SpineScratch& scratch,
+                    std::vector<graph::Edge>& out) {
   SDN_CHECK(n >= 1);
+  graph::Graph g;
   switch (spec.kind) {
-    case SpineKind::kPath:
-      return Relabel(graph::Path(n), rng);
-    case SpineKind::kStar:
-      return Relabel(graph::Star(n), rng);
-    case SpineKind::kBinaryTree:
-      return Relabel(graph::BinaryTree(n), rng);
-    case SpineKind::kRandomTree:
-      return graph::RandomTree(n, rng);
     case SpineKind::kGnp: {
-      const double p = spec.gnp_p > 0.0
-                           ? spec.gnp_p
-                           : std::min(1.0, 2.0 * std::log(static_cast<double>(
-                                                std::max<graph::NodeId>(n, 2))) /
-                                               static_cast<double>(n));
-      return graph::ConnectedGnp(n, p, rng);
+      const double p =
+          spec.gnp_p > 0.0
+              ? spec.gnp_p
+              : std::min(1.0, 2.0 *
+                                  std::log(static_cast<double>(
+                                      std::max<graph::NodeId>(n, 2))) /
+                                  static_cast<double>(n));
+      SDN_CHECK(scratch.rows.back() == n);
+      const std::uint64_t seed = rng();
+      graph::ShardedGnpEdges(n, p, seed, scratch.rows, run,
+                             scratch.shard_edges, out);
+      graph::RepairConnectivity(n, out, rng);
+      return;
     }
+    case SpineKind::kPath:
+      g = Relabel(graph::Path(n), rng);
+      break;
+    case SpineKind::kStar:
+      g = Relabel(graph::Star(n), rng);
+      break;
+    case SpineKind::kBinaryTree:
+      g = Relabel(graph::BinaryTree(n), rng);
+      break;
+    case SpineKind::kRandomTree:
+      g = graph::RandomTree(n, rng);
+      break;
     case SpineKind::kExpander:
-      if (n < 3) return graph::Path(n);
-      return graph::RandomExpander(n, spec.expander_cycles, rng);
+      g = n < 3 ? graph::Path(n)
+                : graph::RandomExpander(n, spec.expander_cycles, rng);
+      break;
     case SpineKind::kPathOfCliques:
-      return Relabel(MakePathOfCliques(n, spec.clique_size), rng);
+      g = Relabel(MakePathOfCliques(n, spec.clique_size), rng);
+      break;
   }
-  SDN_CHECK_MSG(false, "unknown spine kind");
-  return graph::Graph(n);
+  out.assign(g.Edges().begin(), g.Edges().end());
 }
 
-std::vector<graph::Edge> MakeSpineEdges(const SpineSpec& spec, graph::NodeId n,
-                                        util::Rng& rng) {
-  SDN_CHECK(n >= 1);
-  if (spec.kind == SpineKind::kGnp) {
-    const double p = spec.gnp_p > 0.0
-                         ? spec.gnp_p
-                         : std::min(1.0, 2.0 * std::log(static_cast<double>(
-                                              std::max<graph::NodeId>(n, 2))) /
-                                             static_cast<double>(n));
-    return graph::ConnectedGnpEdges(n, p, rng);
-  }
-  const graph::Graph g = MakeSpine(spec, n, rng);
-  return {g.Edges().begin(), g.Edges().end()};
-}
-
-namespace {
-
-/// Everything that determines a spine's edge list. The rng seed captures the
-/// full generator state because PooledSpineEdges requires an undrawn rng.
-struct SpineKey {
-  std::uint64_t seed = 0;
-  graph::NodeId n = 0;
-  SpineKind kind = SpineKind::kExpander;
-  double gnp_p = 0.0;
-  int expander_cycles = 0;
-  graph::NodeId clique_size = 0;
-
-  friend bool operator==(const SpineKey&, const SpineKey&) = default;
-};
-
-struct SpineKeyHash {
-  std::size_t operator()(const SpineKey& k) const {
-    std::uint64_t h = k.seed;
-    const auto mix = [&h](std::uint64_t x) {
-      h ^= x + 0x9e3779b97f4a7c15ULL + (h << 6) + (h >> 2);
-    };
-    mix(static_cast<std::uint64_t>(k.n));
-    mix(static_cast<std::uint64_t>(k.kind));
-    mix(std::bit_cast<std::uint64_t>(k.gnp_p));
-    mix(static_cast<std::uint64_t>(k.expander_cycles));
-    mix(static_cast<std::uint64_t>(k.clique_size));
-    return static_cast<std::size_t>(h);
-  }
-};
-
-using SpinePtr = std::shared_ptr<const std::vector<graph::Edge>>;
-
-std::mutex g_spine_pool_mutex;
-std::unordered_map<SpineKey, SpinePtr, SpineKeyHash>& SpinePool() {
-  static auto* pool = new std::unordered_map<SpineKey, SpinePtr, SpineKeyHash>;
-  return *pool;
-}
-std::int64_t g_spine_pool_edges = 0;
-
-/// Memory bound on the pool: ~32 MB of edges. Eviction simply clears the
-/// map — handles already returned stay alive through their shared_ptr, and
-/// pool contents never affect results (only whether they are recomputed).
-constexpr std::int64_t kSpinePoolMaxEdges = std::int64_t{4} << 20;
-
-}  // namespace
-
-SpinePtr PooledSpineEdges(const SpineSpec& spec, graph::NodeId n,
-                          util::Rng& rng) {
-  const SpineKey key{rng.seed(),          n,
-                     spec.kind,           spec.gnp_p,
-                     spec.expander_cycles, spec.clique_size};
-  {
-    const std::lock_guard<std::mutex> lock(g_spine_pool_mutex);
-    auto& pool = SpinePool();
-    if (const auto it = pool.find(key); it != pool.end()) return it->second;
-  }
-  // Generate outside the lock: concurrent misses may duplicate work, never
-  // results (same key -> same list), and the second insert is a no-op.
-  auto made =
-      std::make_shared<const std::vector<graph::Edge>>(MakeSpineEdges(spec, n, rng));
-  {
-    const std::lock_guard<std::mutex> lock(g_spine_pool_mutex);
-    auto& pool = SpinePool();
-    const auto added = static_cast<std::int64_t>(made->size());
-    if (g_spine_pool_edges + added > kSpinePoolMaxEdges) {
-      pool.clear();
-      g_spine_pool_edges = 0;
-    }
-    if (pool.emplace(key, made).second) g_spine_pool_edges += added;
-  }
-  return made;
+graph::Graph MakeSpine(const SpineSpec& spec, graph::NodeId n, util::Rng& rng) {
+  SpineScratch scratch(n);
+  std::vector<graph::Edge> edges;
+  MakeSpineEdges(spec, n, rng, util::ShardRunner(), scratch, edges);
+  return graph::Graph(n, std::move(edges), graph::Graph::SortedEdges{});
 }
 
 }  // namespace sdn::adversary

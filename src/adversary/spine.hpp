@@ -5,12 +5,13 @@
 // separate the d- and N-dependence of each algorithm.
 #pragma once
 
-#include <memory>
+#include <cstdint>
 #include <string>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdn::adversary {
 
@@ -37,31 +38,32 @@ struct SpineSpec {
   [[nodiscard]] std::string Name() const;
 };
 
-/// Builds one connected spanning spine on n nodes. Randomized kinds draw
-/// from `rng`; deterministic kinds (path/star/tree/cliques) apply a random
-/// node relabeling so eras differ even for fixed shapes.
+/// Reused buffers of one spine builder on n nodes: the row shards kGnp
+/// generates in and their per-shard edge runs.
+struct SpineScratch {
+  /// rows = graph::PairBalancedRows(n, util::NodeShards(n)).
+  explicit SpineScratch(graph::NodeId n);
+
+  std::vector<graph::NodeId> rows;
+  std::vector<std::vector<graph::Edge>> shard_edges;
+
+  /// Capacity bytes (an adversary's generator-buffer gauge).
+  [[nodiscard]] std::int64_t Bytes() const;
+};
+
+/// Builds one connected spanning spine's sorted-unique edge list into
+/// `out` (`scratch` must be built for the same n). kGnp draws a seed from
+/// `rng` and generates G(n,p) in scratch.rows' shards, shard s from
+/// Rng(MixSeed(seed, s)) (graph::ShardedGnpEdges), then repairs
+/// connectivity serially with `rng`; the list depends on (spec, n, rng)
+/// only, never on `run`'s lanes. Deterministic shapes
+/// (path/star/tree/cliques) get a random node relabeling from `rng` so eras
+/// differ; the other random kinds draw from `rng` directly.
+void MakeSpineEdges(const SpineSpec& spec, graph::NodeId n, util::Rng& rng,
+                    const util::ShardRunner& run, SpineScratch& scratch,
+                    std::vector<graph::Edge>& out);
+
+/// The spine MakeSpineEdges builds (same draws, same edges), as a Graph.
 graph::Graph MakeSpine(const SpineSpec& spec, graph::NodeId n, util::Rng& rng);
-
-/// Sorted-unique edge list of MakeSpine — identical RNG draws and edge set.
-/// The hot-path variant for adversaries that assemble rounds from lists and
-/// never touch the spine's own CSR adjacency (kGnp skips building it).
-std::vector<graph::Edge> MakeSpineEdges(const SpineSpec& spec, graph::NodeId n,
-                                        util::Rng& rng);
-
-/// Memoized MakeSpineEdges. A spine edge list is a pure function of
-/// (spec, n, seed of a fresh rng), and the callers that matter — benchmark
-/// reps, A/B comparisons, threads sweeps, parameter sweeps re-running a
-/// seed — regenerate identical spines over and over; this serves them from
-/// a process-wide pool (mutex-guarded, bounded; eviction clears the pool,
-/// never invalidates handles already returned).
-///
-/// Contract: `rng` must be freshly constructed or freshly Fork()ed — its
-/// seed() is the pool key, so a generator that has already been drawn from
-/// would alias a different stream. On a pool hit the generation draws are
-/// skipped entirely and `rng` is left untouched, so callers must discard it
-/// either way (the stable-spine adversary forks a throwaway era rng per
-/// era, which is the intended usage pattern).
-std::shared_ptr<const std::vector<graph::Edge>> PooledSpineEdges(
-    const SpineSpec& spec, graph::NodeId n, util::Rng& rng);
 
 }  // namespace sdn::adversary

@@ -16,15 +16,26 @@
 //
 // Volatile edges change every round, so topologies genuinely differ
 // round-to-round even inside an era.
+//
+// Every random stream is keyed by position, not by call order: era k's
+// spine draws from MixSeed(seed, k+1) (kGnp splits it further into one
+// stream per row shard), and round r's volatile edges in row shard s from
+// MixSeed(MixSeed(volatile seed, r), s). A round's edges are therefore a
+// function of (seed, r) alone — rounds may be requested in any order, and
+// the row shards (util::NodeShards(n) pair-balanced row ranges) can run on
+// any number of lanes with the same result.
 #pragma once
 
+#include <array>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "adversary/spine.hpp"
 #include "net/adversary.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdn::adversary {
 
@@ -32,8 +43,9 @@ struct StableSpineOptions {
   SpineSpec spine;
   /// Era length in rounds; default (0) means T.
   std::int64_t era_length = 0;
-  /// Volatile random edges added per round (sampled uniformly, duplicates
-  /// with spine edges are harmless).
+  /// Volatile random edges drawn per round: uniform pairs, split over the
+  /// row shards in proportion to their pair counts (duplicates with spine
+  /// edges or each other are harmless and collapse).
   std::int64_t volatile_edges = 0;
 };
 
@@ -48,13 +60,15 @@ class StableSpineAdversary final : public net::Adversary {
                            const net::AdversaryView& view) override;
   /// Native delta: assembles the round's sorted edge list in a reused
   /// buffer and diffs it against `prev` — no per-round Graph (CSR build)
-  /// at all. Consumes the identical volatile-RNG stream as TopologyFor.
+  /// at all.
   void DeltaFor(std::int64_t round, const net::AdversaryView& view,
                 const graph::Graph& prev, graph::TopologyDelta& out) override;
   /// Fastest path: writes the round's full sorted-unique edge list straight
   /// into the caller's buffer, skipping both the Graph build and the diff.
   bool RoundEdgesInto(std::int64_t round, const net::AdversaryView& view,
                       std::vector<graph::Edge>& out) override;
+  /// Spine generation and round assembly run their row shards on `run`.
+  void SetShardRunner(const util::ShardRunner& run) override { run_ = run; }
   /// Certification fast path: every round is exactly
   /// spine ∪ (previous spine during overlap) ∪ volatile edges, with the
   /// era number as the spine's stable identity — the checker certifies
@@ -64,20 +78,11 @@ class StableSpineAdversary final : public net::Adversary {
       std::int64_t round) const override {
     return round == comp_round_ ? &comp_ : nullptr;
   }
-  /// Generator buffers: the two live spine-pool vectors, the cached era
-  /// overlap union, and the per-round assembly/volatile scratch. Pure
-  /// function of the round sequence (capacities only grow along it).
-  [[nodiscard]] std::int64_t BufferBytes() const override {
-    const auto vec = [](const auto& v) {
-      using T = typename std::decay_t<decltype(v)>::value_type;
-      return static_cast<std::int64_t>(v.capacity() * sizeof(T));
-    };
-    std::int64_t total = vec(overlap_base_) + vec(round_edges_) +
-                         vec(fresh_edges_) + vec(fresh_keys_);
-    if (current_spine_ != nullptr) total += vec(*current_spine_);
-    if (previous_spine_ != nullptr) total += vec(*previous_spine_);
-    return total;
-  }
+  /// Generator buffers: the two cached spines, the spine builder's shard
+  /// runs, every row shard's era-overlap union and volatile scratch, and the
+  /// assembly buffers. Each shard's buffers depend on its own rows alone, so
+  /// the sum is the same at every thread count.
+  [[nodiscard]] std::int64_t BufferBytes() const override;
 
   [[nodiscard]] std::string name() const override;
 
@@ -85,31 +90,47 @@ class StableSpineAdversary final : public net::Adversary {
   [[nodiscard]] graph::Graph SpineForRound(std::int64_t round);
 
  private:
-  void AdvanceToEra(std::int64_t era);
-  /// The sorted-unique union of the current and previous spines, built once
-  /// per era (used by the first T-1 overlap rounds of that era).
-  const std::vector<graph::Edge>& OverlapBase();
+  /// One era's spine: its sorted-unique edge list (shared with composition
+  /// consumers, never mutated once built) and where each row shard's edges
+  /// begin in it.
+  struct Spine {
+    std::int64_t era = -1;
+    std::shared_ptr<const std::vector<graph::Edge>> edges;
+    std::vector<std::size_t> shard_begin;  // shards + 1 offsets
+  };
+  /// Reused per-round buffers of one row shard.
+  struct Shard {
+    std::vector<graph::Edge> overlap;  // this era's spine ∪ previous spine
+    std::vector<graph::Edge> fresh;    // this round's volatile edges
+    std::vector<std::uint64_t> draws;  // volatile pair draws before sorting
+    std::vector<graph::Edge> inserts;  // fresh edges not in the base
+    std::vector<std::size_t> insert_at;  // their positions in the base run
+    std::size_t out_begin = 0;           // offset in the round's list
+  };
+
+  /// Spine of `era`, generated on a miss into the cache slot not holding
+  /// `keep_era` (the other era the caller needs).
+  const Spine& SpineFor(std::int64_t era, std::int64_t keep_era);
   /// Fills `out` with round's sorted, deduplicated edge list (spine ∪
-  /// overlap spine ∪ fresh volatile edges), advancing the volatile RNG.
+  /// overlap spine ∪ volatile edges) and publishes its composition.
   void BuildRoundEdges(std::int64_t round, std::vector<graph::Edge>& out);
 
   graph::NodeId n_;
   int t_;
   StableSpineOptions options_;
   std::int64_t era_length_;
-  util::Rng seed_rng_;
-  util::Rng volatile_rng_;
-  std::int64_t current_era_ = -1;
-  bool has_previous_ = false;  // a previous era's spine exists
-  // Sorted-unique edge lists shared with the process-wide spine pool (the
-  // spine CSR is never needed); null until the first AdvanceToEra.
-  std::shared_ptr<const std::vector<graph::Edge>> current_spine_;
-  std::shared_ptr<const std::vector<graph::Edge>> previous_spine_;
-  std::vector<graph::Edge> overlap_base_;    // cached cur ∪ prev of one era
-  std::int64_t overlap_base_era_ = -1;
+  std::uint64_t seed_;
+  std::uint64_t volatile_seed_;
+  util::ShardRunner run_;
+  /// Spine builder buffers. Its row shards (graph::PairBalancedRows over
+  /// util::NodeShards(n)) are the adversary's: spine generation, volatile
+  /// draws and assembly all split at spine_scratch_.rows.
+  SpineScratch spine_scratch_;
+  std::array<Spine, 2> spines_;
+  std::vector<Shard> shards_;
+  std::int64_t overlap_era_ = -1;  // era whose union shards_[*].overlap hold
   std::vector<graph::Edge> round_edges_;  // DeltaFor's reused assembly buffer
-  std::vector<graph::Edge> fresh_edges_;  // volatile-edge scratch
-  std::vector<std::uint64_t> fresh_keys_;  // packed volatile draws pre-sort
+  std::vector<graph::Edge> fresh_edges_;  // every shard's volatile edges
   graph::RoundComposition comp_;     // last built round's structure
   std::int64_t comp_round_ = -1;     // round comp_ describes
 };

@@ -235,8 +235,8 @@ const Graph& DynGraph::CommitEdges() {
   // graph view itself is untouched until the swap below.
   std::fill(degrees_.begin(), degrees_.end(), 0);
   for (const Edge& e : scratch_edges_) {
-    SDN_CHECK_MSG(e.u >= 0 && e.v < n, "edge (" << e.u << "," << e.v
-                                                << ") out of range for n=" << n);
+    SDN_CHECK_MSG(e.u >= 0 && e.u < e.v && e.v < n,
+                  "edge (" << e.u << "," << e.v << ") out of range for n=" << n);
     ++degrees_[static_cast<std::size_t>(e.u)];
     ++degrees_[static_cast<std::size_t>(e.v)];
   }

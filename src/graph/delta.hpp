@@ -105,8 +105,8 @@ class DynGraph {
 
   /// Swaps the filled EditBuffer in as the new topology and rebuilds
   /// degrees + CSR adjacency (allocation-free in steady state). Edges are
-  /// always range-checked; the sorted/unique scan is gated on
-  /// VerifySortedEdges() like the SortedEdges Graph constructor.
+  /// always checked in range (0 <= u < v < n); the sorted/unique scan is
+  /// gated on VerifySortedEdges() like the SortedEdges Graph constructor.
   const Graph& CommitEdges();
 
   /// Byte footprint of the maintenance scratch (degrees, edit double

@@ -119,43 +119,90 @@ Graph RandomTree(NodeId n, util::Rng& rng) {
   return Graph(n, edges);
 }
 
-std::vector<Edge> GnpEdges(NodeId n, double p, util::Rng& rng) {
+std::uint64_t RowStart(NodeId n, NodeId u) {
+  const auto un = static_cast<std::uint64_t>(n);
+  const auto uu = static_cast<std::uint64_t>(u);
+  // Rows 0..u-1 hold (n-1) + (n-2) + ... + (n-u) pairs.
+  return uu * (un - 1) - uu * (uu - 1) / 2;
+}
+
+std::vector<NodeId> PairBalancedRows(NodeId n, int shards) {
+  SDN_CHECK(n >= 1);
+  SDN_CHECK(shards >= 1);
+  const auto total = static_cast<__uint128_t>(RowStart(n, n));
+  std::vector<NodeId> rows(static_cast<std::size_t>(shards) + 1);
+  rows[0] = 0;
+  rows[static_cast<std::size_t>(shards)] = n;
+  for (int s = 1; s < shards; ++s) {
+    const auto target = static_cast<std::uint64_t>(
+        total * static_cast<unsigned>(s) / static_cast<unsigned>(shards));
+    // First row whose pairs start at or after the target; RowStart is
+    // increasing in u.
+    NodeId lo = rows[static_cast<std::size_t>(s) - 1];
+    NodeId hi = n;
+    while (lo < hi) {
+      const NodeId mid = lo + (hi - lo) / 2;
+      if (RowStart(n, mid) < target) {
+        lo = mid + 1;
+      } else {
+        hi = mid;
+      }
+    }
+    rows[static_cast<std::size_t>(s)] = lo;
+  }
+  return rows;
+}
+
+void AppendGnpRows(NodeId n, double p, NodeId row_begin, NodeId row_end,
+                   util::Rng& rng, std::vector<Edge>& out) {
   SDN_CHECK(n >= 1);
   SDN_CHECK(p >= 0.0 && p <= 1.0);
-  std::vector<Edge> edges;
-  if (p <= 0.0) return edges;
+  SDN_CHECK(0 <= row_begin && row_begin <= row_end && row_end <= n);
+  const std::uint64_t first = RowStart(n, row_begin);
+  const std::uint64_t total = RowStart(n, row_end) - first;
+  if (p <= 0.0 || total == 0) return;
   if (p >= 1.0) {
-    edges.reserve(static_cast<std::size_t>(n) * (static_cast<std::size_t>(n) - 1) / 2);
-    for (NodeId u = 0; u < n; ++u) {
-      for (NodeId v = u + 1; v < n; ++v) edges.emplace_back(u, v);
+    out.reserve(out.size() + static_cast<std::size_t>(total));
+    for (NodeId u = row_begin; u < row_end; ++u) {
+      for (NodeId v = u + 1; v < n; ++v) out.emplace_back(u, v);
     }
-    return edges;
+    return;
   }
-  // Geometric skipping over the edge enumeration: O(E) expected. The skip
-  // denominator is hoisted out of the loop (same arithmetic as
-  // Rng::Geometric, so the emitted graph is bit-identical), and idx -> (u,v)
-  // inversion tracks the current row incrementally — idx only grows, so the
-  // row advance is amortized O(1) per edge with no floating-point inversion.
-  const auto total =
-      static_cast<std::uint64_t>(n) * static_cast<std::uint64_t>(n - 1) / 2;
-  edges.reserve(static_cast<std::size_t>(p * static_cast<double>(total)) + 16);
-  const double denom = std::log1p(-p);
-  const auto skip = [&rng, denom]() {
-    return static_cast<std::uint64_t>(std::log1p(-rng.UniformDouble()) / denom);
-  };
-  std::uint64_t row = 0;        // current u
-  std::uint64_t row_start = 0;  // index of (row, row+1); row width n-1-row
-  std::uint64_t idx = skip();
-  while (idx < total) {
-    while (idx >= row_start + (static_cast<std::uint64_t>(n) - 1 - row)) {
-      row_start += static_cast<std::uint64_t>(n) - 1 - row;
+  // Geometric skipping over the range's pair enumeration: O(E) expected.
+  // The number of non-edges before the next edge is Geometric(p), drawn as
+  // floor(Exp(1) / lambda) with lambda = -log(1-p) (P(skip >= k) =
+  // exp(-lambda k) = (1-p)^k) from the ziggurat exponential, so the loop
+  // calls no logarithm per edge. idx -> (u,v) tracks the current row
+  // incrementally: idx only grows, so the row advance is amortized O(1).
+  out.reserve(out.size() +
+              static_cast<std::size_t>(p * static_cast<double>(total)) + 16);
+  const double inv_lambda = -1.0 / std::log1p(-p);
+  const auto ftotal = static_cast<double>(total);
+  const auto un = static_cast<std::uint64_t>(n);
+  std::uint64_t row = static_cast<std::uint64_t>(row_begin);
+  std::uint64_t row_start = 0;  // index of (row, row+1), relative to first
+  std::uint64_t idx = 0;
+  for (;;) {
+    const double skip = rng.StdExponential() * inv_lambda;
+    // Compared in double first: a skip past the range ends it, and the
+    // cast below would overflow for astronomically small p.
+    if (skip >= ftotal - static_cast<double>(idx)) break;
+    idx += static_cast<std::uint64_t>(skip);
+    if (idx >= total) break;
+    while (idx >= row_start + (un - 1 - row)) {
+      row_start += un - 1 - row;
       ++row;
     }
-    const std::uint64_t v = row + 1 + (idx - row_start);
-    edges.emplace_back(static_cast<NodeId>(row), static_cast<NodeId>(v));
-    idx += 1 + skip();
+    out.emplace_back(static_cast<NodeId>(row),
+                     static_cast<NodeId>(row + 1 + (idx - row_start)));
+    ++idx;
   }
-  // Edges are emitted in ascending enumeration order, i.e. already sorted.
+  // Pairs are visited in ascending enumeration order: already sorted.
+}
+
+std::vector<Edge> GnpEdges(NodeId n, double p, util::Rng& rng) {
+  std::vector<Edge> edges;
+  AppendGnpRows(n, p, 0, n, rng, edges);
   return edges;
 }
 
@@ -163,32 +210,84 @@ Graph Gnp(NodeId n, double p, util::Rng& rng) {
   return Graph(n, GnpEdges(n, p, rng), Graph::SortedEdges{});
 }
 
-std::vector<Edge> ConnectedGnpEdges(NodeId n, double p, util::Rng& rng) {
-  std::vector<Edge> edges = GnpEdges(n, p, rng);
+void ShardedGnpEdges(NodeId n, double p, std::uint64_t seed,
+                     std::span<const NodeId> rows,
+                     const util::ShardRunner& run,
+                     std::vector<std::vector<Edge>>& shard_edges,
+                     std::vector<Edge>& out) {
+  SDN_CHECK(rows.size() >= 2);
+  const auto shards = static_cast<int>(rows.size() - 1);
+  shard_edges.resize(static_cast<std::size_t>(shards));
+  run.Run(shards, [&](int s) {
+    const auto si = static_cast<std::size_t>(s);
+    std::vector<Edge>& mine = shard_edges[si];
+    mine.clear();
+    util::Rng rng(util::MixSeed(seed, static_cast<std::uint64_t>(s)));
+    AppendGnpRows(n, p, rows[si], rows[si + 1], rng, mine);
+  });
+  // Shard s holds rows [rows[s], rows[s+1]) in order, so the concatenation
+  // is sorted without a sort.
+  std::size_t total = 0;
+  for (const std::vector<Edge>& e : shard_edges) total += e.size();
+  out.clear();
+  out.reserve(total);
+  for (const std::vector<Edge>& e : shard_edges) {
+    out.insert(out.end(), e.begin(), e.end());
+  }
+}
+
+void AppendRandomPairs(NodeId n, NodeId row_begin, NodeId row_end,
+                       std::int64_t count, util::Rng& rng,
+                       std::vector<std::uint64_t>& scratch,
+                       std::vector<Edge>& out) {
+  SDN_CHECK(0 <= row_begin && row_begin <= row_end && row_end <= n);
+  const std::uint64_t first = RowStart(n, row_begin);
+  const std::uint64_t total = RowStart(n, row_end) - first;
+  if (count <= 0 || total == 0) return;
+  scratch.clear();
+  for (std::int64_t i = 0; i < count; ++i) scratch.push_back(rng.UniformU64(total));
+  std::sort(scratch.begin(), scratch.end());
+  scratch.erase(std::unique(scratch.begin(), scratch.end()), scratch.end());
+  const auto un = static_cast<std::uint64_t>(n);
+  std::uint64_t row = static_cast<std::uint64_t>(row_begin);
+  std::uint64_t row_start = 0;
+  for (const std::uint64_t idx : scratch) {
+    while (idx >= row_start + (un - 1 - row)) {
+      row_start += un - 1 - row;
+      ++row;
+    }
+    out.emplace_back(static_cast<NodeId>(row),
+                     static_cast<NodeId>(row + 1 + (idx - row_start)));
+  }
+}
+
+void RepairConnectivity(NodeId n, std::vector<Edge>& edges, util::Rng& rng) {
   UnionFind uf(static_cast<std::size_t>(n));
   for (const Edge& e : edges) {
     uf.Union(e.u, e.v);
-    if (uf.num_components() == 1) break;  // already connected; rest can't split
+    if (uf.num_components() == 1) return;  // the rest cannot split it
   }
-  if (uf.num_components() == 1) return edges;
+  if (uf.num_components() == 1) return;
   // Collect one representative per component, shuffle, and chain them.
+  // Representatives of different components are never adjacent, so the
+  // chain adds only new edges.
   std::vector<NodeId> reps;
   for (NodeId u = 0; u < n; ++u) {
     if (uf.Find(u) == u) reps.push_back(u);
   }
   rng.Shuffle(std::span<NodeId>(reps));
+  const auto mid = static_cast<std::ptrdiff_t>(edges.size());
   for (std::size_t i = 0; i + 1 < reps.size(); ++i) {
     edges.emplace_back(reps[i], reps[i + 1]);
   }
-  // Same normalization the unsorted Graph constructor applies, so the list
-  // matches what WithEdges(repair) used to produce.
-  std::sort(edges.begin(), edges.end());
-  edges.erase(std::unique(edges.begin(), edges.end()), edges.end());
-  return edges;
+  std::sort(edges.begin() + mid, edges.end());
+  std::inplace_merge(edges.begin(), edges.begin() + mid, edges.end());
 }
 
 Graph ConnectedGnp(NodeId n, double p, util::Rng& rng) {
-  return Graph(n, ConnectedGnpEdges(n, p, rng), Graph::SortedEdges{});
+  std::vector<Edge> edges = GnpEdges(n, p, rng);
+  RepairConnectivity(n, edges, rng);
+  return Graph(n, std::move(edges), Graph::SortedEdges{});
 }
 
 Graph RandomExpander(NodeId n, int cycles, util::Rng& rng) {

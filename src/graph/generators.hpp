@@ -5,10 +5,13 @@
 // All randomized generators take an explicit Rng so trials replay exactly.
 #pragma once
 
+#include <cstdint>
+#include <span>
 #include <vector>
 
 #include "graph/graph.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdn::graph {
 
@@ -33,17 +36,53 @@ Graph RandomTree(NodeId n, util::Rng& rng);
 /// Erdős–Rényi G(n,p); may be disconnected.
 Graph Gnp(NodeId n, double p, util::Rng& rng);
 
-/// G(n,p) as a sorted-unique edge list: the exact edges Gnp would produce
-/// (same RNG draws, bit-identical) without paying for the Graph's CSR
-/// build. For callers that only consume the list (spine assembly).
+/// G(n,p) as a sorted-unique edge list: the edges Gnp produces (same RNG
+/// draws) without the Graph's CSR build.
 std::vector<Edge> GnpEdges(NodeId n, double p, util::Rng& rng);
 
-/// G(n,p) with connectivity repaired by adding one random inter-component
-/// edge per merge (so exactly #components-1 repair edges).
-Graph ConnectedGnp(NodeId n, double p, util::Rng& rng);
+/// Index of pair (u, u+1) in the row-major enumeration of the n(n-1)/2
+/// pairs u < v (row u holds the n-1-u pairs (u, v > u)); RowStart(n, n) is
+/// the pair count.
+std::uint64_t RowStart(NodeId n, NodeId u);
 
-/// Edge-list variant of ConnectedGnp — bit-identical edge set, no CSR.
-std::vector<Edge> ConnectedGnpEdges(NodeId n, double p, util::Rng& rng);
+/// Row boundaries of `shards` contiguous row ranges holding near-equal
+/// pair counts: rows[0] = 0, rows[shards] = n, and rows[s] is the first row
+/// whose pairs start at or after s/shards of all pairs. A function of
+/// (n, shards) only.
+std::vector<NodeId> PairBalancedRows(NodeId n, int shards);
+
+/// G(n,p) restricted to the pairs of rows [row_begin, row_end), appended to
+/// `out` in sorted order. Each gap between edges is a Geometric(p) skip
+/// drawn from rng.StdExponential(); GnpEdges is the one-range case.
+void AppendGnpRows(NodeId n, double p, NodeId row_begin, NodeId row_end,
+                   util::Rng& rng, std::vector<Edge>& out);
+
+/// Sharded G(n,p): shard s covers rows [rows[s], rows[s+1]) (see
+/// PairBalancedRows), draws from Rng(MixSeed(seed, s)) into
+/// shard_edges[s], and `out` receives the concatenation, which is sorted
+/// without a sort. The list depends on (n, p, seed, rows) only, never on
+/// how many lanes `run` has.
+void ShardedGnpEdges(NodeId n, double p, std::uint64_t seed,
+                     std::span<const NodeId> rows,
+                     const util::ShardRunner& run,
+                     std::vector<std::vector<Edge>>& shard_edges,
+                     std::vector<Edge>& out);
+
+/// Draws `count` pairs uniformly with replacement from the pairs of rows
+/// [row_begin, row_end) and appends the distinct ones to `out` in sorted
+/// order (`scratch` holds the draws).
+void AppendRandomPairs(NodeId n, NodeId row_begin, NodeId row_end,
+                       std::int64_t count, util::Rng& rng,
+                       std::vector<std::uint64_t>& scratch,
+                       std::vector<Edge>& out);
+
+/// Makes sorted-unique `edges` connected: one union-find pass, then a
+/// random chain (order from `rng`) through one representative of every
+/// component — exactly #components-1 added edges, merged in sorted.
+void RepairConnectivity(NodeId n, std::vector<Edge>& edges, util::Rng& rng);
+
+/// G(n,p) with connectivity repaired (RepairConnectivity).
+Graph ConnectedGnp(NodeId n, double p, util::Rng& rng);
 
 /// Union of `cycles` random Hamiltonian cycles: a simple ~2·cycles-regular
 /// graph that is connected and an expander whp — O(log n) diameter.

@@ -13,6 +13,7 @@
 #include "graph/delta.hpp"
 #include "graph/graph.hpp"
 #include "graph/tinterval.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdn::net {
 
@@ -111,7 +112,14 @@ class Adversary {
   /// adversaries (which sample PublicState mid-run) must return false.
   [[nodiscard]] virtual bool oblivious() const { return true; }
 
-  /// Byte footprint of the adversary's generator buffers (spine pools,
+  /// Lanes for the adversary's own sharded work (the round driver hands
+  /// over the same pool lanes its send and deliver phases use). An
+  /// implementation must split its work by a shard count that depends on
+  /// its inputs alone, so the topology it produces is the same whatever
+  /// `run` is; the default ignores it.
+  virtual void SetShardRunner(const util::ShardRunner& run) { (void)run; }
+
+  /// Byte footprint of the adversary's generator buffers (cached spines,
   /// assembly scratch, RNG state — whatever the implementation retains
   /// between rounds). Surfaced by the engine as the "adversary" memory
   /// gauge; must be a pure function of the call sequence (capacities, not

@@ -12,12 +12,6 @@
 namespace sdn::net {
 namespace {
 
-/// Sharding floor/cap: boundaries are a pure function of n, never of the
-/// thread count, so the shard-ordered merge is the same computation at
-/// every EngineOptions::threads setting.
-constexpr std::int64_t kMinShardNodes = 64;
-constexpr std::int64_t kMaxShards = 64;
-
 /// Async-certification queue depth: the checker may lag the round loop by
 /// at most this many rounds before Submit backpressures the producer.
 constexpr std::size_t kCertQueueDepth = 4;
@@ -137,16 +131,20 @@ void RoundDriver::Start() {
   mem_adversary_ = budget_->Get("adversary");
   if (checker_ != nullptr) mem_checker_ = budget_->Get("checker");
 
-  // Parallel geometry. Shard count is a function of n alone; the thread
-  // count only decides how many lanes execute those shards.
+  // Parallel geometry. Shard count is a function of n alone (so the
+  // shard-ordered merges are the same computation at every
+  // EngineOptions::threads setting); the thread count only decides how
+  // many lanes execute those shards. The adversary gets the same lanes for
+  // its own n-only shards.
   int threads = options_.threads;
   if (threads == 0) {
     threads = static_cast<int>(std::thread::hardware_concurrency());
     if (threads <= 0) threads = 1;
   }
-  shards_ = std::clamp<std::int64_t>(n_ / kMinShardNodes, 1, kMaxShards);
+  shards_ = util::NodeShards(n_);
   lanes_ = static_cast<int>(std::min<std::int64_t>(threads, shards_));
   pool_ = lanes_ > 1 ? &util::ThreadPool::Shared() : nullptr;
+  adversary_.SetShardRunner(util::ShardRunner(pool_, lanes_));
   // Prefetch runs on the persistent topology lane; only worth it at sizes
   // where a round costs real work. Gated on threads > 1 so `threads = 1`
   // keeps the round loop itself single-threaded. Prefetch composes with
@@ -156,7 +154,7 @@ void RoundDriver::Start() {
   // after the send phase — the lane drain at the top of the next round
   // orders the accesses.
   prefetch_enabled_ = options_.prefetch_topology && threads > 1 &&
-                      n_ >= 2 * kMinShardNodes && adversary_.oblivious();
+                      shards_ >= 2 && adversary_.oblivious();
   // Async certification excludes exactly the configurations that read
   // checker state mid-round: fail-fast (the verdict gates the round) and a
   // flight recorder (its per-round kCheckerWindow track). Snapshot() is the

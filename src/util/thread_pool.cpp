@@ -245,4 +245,26 @@ void ThreadPool::ParallelFor(std::int64_t n, int shards, int max_lanes,
   if (job.error) std::rethrow_exception(job.error);
 }
 
+int NodeShards(std::int64_t n) {
+  constexpr std::int64_t kMinShardNodes = 64;
+  constexpr std::int64_t kMaxShards = 64;
+  return static_cast<int>(
+      std::clamp<std::int64_t>(n / kMinShardNodes, 1, kMaxShards));
+}
+
+void ShardRunner::Run(int shards,
+                      const std::function<void(int shard)>& fn) const {
+  SDN_CHECK(shards >= 0);
+  if (pool_ == nullptr || shards <= 1) {
+    for (int s = 0; s < shards; ++s) fn(s);
+    return;
+  }
+  // One index per shard, so ParallelFor's [n*s/shards, n*(s+1)/shards)
+  // split hands shard s exactly [s, s+1).
+  pool_->ParallelFor(shards, shards, lanes_,
+                     [&fn](int shard, std::int64_t, std::int64_t) {
+                       fn(shard);
+                     });
+}
+
 }  // namespace sdn::util

@@ -170,4 +170,32 @@ class ThreadPool {
   bool stop_ = false;
 };
 
+/// Node-range shard count for n nodes: n/64, clamped to [1, 64]. A
+/// function of n alone, so everything split by it computes the same thing
+/// at every thread count.
+[[nodiscard]] int NodeShards(std::int64_t n);
+
+/// Runs fn(shard) once for each shard of [0, shards): on up to `lanes`
+/// lanes of a pool, or inline in ascending shard order when it has no pool
+/// (the default) or one lane. Callers choose the shard count from their
+/// input alone and merge per-shard results in shard order, so which lane
+/// ran a shard is unobservable — serial and parallel runs are the same
+/// computation. A copy is two words; hand it out by value.
+class ShardRunner {
+ public:
+  ShardRunner() = default;
+  ShardRunner(ThreadPool* pool, int lanes)
+      : pool_(lanes > 1 ? pool : nullptr), lanes_(pool_ ? lanes : 1) {}
+
+  /// Lanes a Run may use (1 = inline).
+  [[nodiscard]] int lanes() const { return lanes_; }
+
+  /// Blocks until every shard ran; rethrows the first shard exception.
+  void Run(int shards, const std::function<void(int shard)>& fn) const;
+
+ private:
+  ThreadPool* pool_ = nullptr;
+  int lanes_ = 1;
+};
+
 }  // namespace sdn::util

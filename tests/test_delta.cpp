@@ -8,6 +8,7 @@
 
 #include <algorithm>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "adversary/factory.hpp"
@@ -18,6 +19,7 @@
 #include "net/engine.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
+#include "util/thread_pool.hpp"
 
 namespace sdn::graph {
 namespace {
@@ -236,6 +238,86 @@ TEST(AdversaryFastPath, RoundEdgesIntoMatchesTopologyForEveryKindSeedAndT) {
   // The native implementations (spine/adaptive/static/replay families) must
   // actually exercise the fast path, not silently fall back everywhere.
   EXPECT_GT(fast_rounds, 0);
+}
+
+/// CommitEdges' CSR is the Graph constructor's for the same list, keeps the
+/// degrees Apply maintains afterwards, and range-checks every edge.
+TEST(DynGraph, CommitEdgesMatchesGraphCsr) {
+  util::Rng rng(21);
+  for (const auto& [n, p] :
+       {std::pair<NodeId, double>{1, 0.0}, {5, 0.3}, {300, 0.0}, {300, 0.02},
+        {300, 0.3}, {2048, 0.02}}) {
+    SCOPED_TRACE("n=" + std::to_string(n) + " p=" + std::to_string(p));
+    const std::vector<Edge> edges = GnpEdges(n, p, rng);
+    const Graph reference(n, edges);
+    DynGraph dyn(Path(n));  // stale degrees/CSR from another graph
+    dyn.EditBuffer() = edges;
+    ASSERT_EQ(dyn.CommitEdges(), reference);
+    // Degrees feed the next Apply: it must still match from scratch.
+    if (n >= 2) {
+      TopologyDelta delta;
+      const Edge flip(0, n - 1);
+      std::vector<Edge> next(edges);
+      if (reference.HasEdge(0, n - 1)) {
+        delta.removed.push_back(flip);
+        next.erase(std::find(next.begin(), next.end(), flip));
+      } else {
+        delta.added.push_back(flip);
+        next.push_back(flip);
+      }
+      ASSERT_EQ(dyn.Apply(delta), Graph(n, next));
+    }
+  }
+  DynGraph dyn(100);
+  dyn.EditBuffer() = {Edge(1, 2), Edge(3, 150)};
+  EXPECT_THROW(dyn.CommitEdges(), util::CheckError);
+}
+
+/// Lanes of the shared pool: the serial runner, two lanes and every core.
+std::vector<util::ShardRunner> Runners() {
+  const int hw =
+      std::max(2, static_cast<int>(std::thread::hardware_concurrency()));
+  return {util::ShardRunner(),
+          util::ShardRunner(&util::ThreadPool::Shared(), 2),
+          util::ShardRunner(&util::ThreadPool::Shared(), hw)};
+}
+
+/// spine-gnp rounds and the CSR committed from them are identical at any
+/// lane count, and a round asked out of order (a fresh instance going
+/// backwards) reproduces the in-order one.
+TEST(AdversaryFastPath, SpineGnpRoundsAndCsrAreLaneAndOrderInvariant) {
+  const NodeId n = 1024;
+  const ZeroView view(n);
+  adversary::AdversaryConfig config;
+  config.kind = "spine-gnp";
+  config.n = n;
+  config.T = 3;
+  config.seed = 31;
+  const int rounds = 10;
+  std::vector<Graph> reference;
+  for (const util::ShardRunner& run : Runners()) {
+    SCOPED_TRACE("lanes=" + std::to_string(run.lanes()));
+    const auto adv = adversary::MakeAdversary(config);
+    adv->SetShardRunner(run);
+    DynGraph dyn(n);
+    for (std::int64_t r = 1; r <= rounds; ++r) {
+      ASSERT_TRUE(adv->RoundEdgesInto(r, view, dyn.EditBuffer()));
+      const Graph& g = dyn.CommitEdges();
+      if (run.lanes() == 1) {
+        reference.push_back(g);
+      } else {
+        ASSERT_EQ(g, reference[static_cast<std::size_t>(r - 1)])
+            << "round " << r;
+      }
+    }
+  }
+  const auto backwards = adversary::MakeAdversary(config);
+  backwards->SetShardRunner(Runners()[2]);
+  for (std::int64_t r = rounds; r >= 1; --r) {
+    ASSERT_EQ(backwards->TopologyFor(r, view),
+              reference[static_cast<std::size_t>(r - 1)])
+        << "round " << r;
+  }
 }
 
 /// Streaming checker (both Push and PushDelta) vs the batch validator, on

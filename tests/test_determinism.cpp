@@ -18,6 +18,7 @@
 // reference.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -344,13 +345,11 @@ TEST(Determinism, AnomalyPlaneOnOrOffIsInvisibleToRunStats) {
 // fault injected through the env test hook must produce exactly one
 // AnomalyRecord (a round-time spike at the faulted round) and, with a
 // recorder attached, a flight-recorder dump whose retained window contains
-// the faulted round.
+// the faulted round. The stall is sized from a dry run of the same config —
+// 16x its slowest round, at least 50 ms — so it clears the 8x rolling-p99
+// spike rule however slow the build runs rounds (sanitizers included).
 TEST(Determinism, InjectedFaultFiresExactlyOneAnomalyWithDump) {
   const std::string dir = ::testing::TempDir();
-  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_SLEEP_MS", "50", 1), 0);
-  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_ROUND", "12", 1), 0);
-
-  obs::FlightRecorder recorder;  // default ring: no wrap at this n
   RunConfig config;
   config.n = 192;
   config.T = 2;
@@ -358,14 +357,36 @@ TEST(Determinism, InjectedFaultFiresExactlyOneAnomalyWithDump) {
   config.adversary.kind = "spine-gnp";
   config.validate_tinterval = false;
   config.collect_metrics = true;
-  config.anomaly = true;
-  // Only the injected 50 ms spike may clear the floor; the byte-level rule
-  // is neutralized (warmup gauge growth is expected, not anomalous).
+  // Only the injected spike may clear the floor; the byte-level rule is
+  // neutralized (warmup gauge growth is expected, not anomalous).
   config.anomaly_options.spike_floor_ns = 10'000'000;
   config.anomaly_options.memory_jump_floor_bytes = std::int64_t{1} << 60;
   config.anomaly_options.dump_dir = dir;
-  config.recorder = &recorder;
   config.threads = 1;
+
+  std::int64_t slowest_round_ns = 0;
+  {
+    obs::FlightRecorder dry_recorder;
+    config.recorder = &dry_recorder;
+    config.anomaly = false;
+    const RunResult dry = RunAlgorithm(Algorithm::kHjswyCensus, config);
+    const obs::MetricSample* total = dry.stats.metrics.Find("round_total_ns");
+    ASSERT_NE(total, nullptr);
+    slowest_round_ns = total->max;
+  }
+  const std::int64_t stall_ms =
+      std::max<std::int64_t>(50, (16 * slowest_round_ns + 999'999) / 1'000'000);
+  std::printf("dry run: slowest round %.3f ms, injected stall %lld ms\n",
+              static_cast<double>(slowest_round_ns) / 1e6,
+              static_cast<long long>(stall_ms));
+
+  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_SLEEP_MS",
+                   std::to_string(stall_ms).c_str(), 1),
+            0);
+  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_ROUND", "12", 1), 0);
+  obs::FlightRecorder recorder;  // default ring: no wrap at this n
+  config.recorder = &recorder;
+  config.anomaly = true;
   const RunResult result = RunAlgorithm(Algorithm::kHjswyCensus, config);
 
   ASSERT_EQ(unsetenv("SDN_FAULT_DELIVER_SLEEP_MS"), 0);

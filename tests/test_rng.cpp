@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
+#include <string>
 #include <numeric>
 #include <set>
 #include <vector>
@@ -119,6 +121,101 @@ TEST(Rng, GeometricMean) {
   }
   // Failures before first success: mean (1-p)/p = 3.
   EXPECT_NEAR(sum / trials, 3.0, 0.1);
+}
+
+// Every layer of the exponential ziggurat has the same area v: the top
+// layers x_i (exp(-x_{i-1}) - exp(-x_i)), the base strip r exp(-r) plus the
+// tail exp(-r) (its rectangle widened to q = v / exp(-r)). The fast-path
+// bound k[i] is the share of layer i's width under the layer above; the top
+// layer [0, x_1] has none.
+TEST(Rng, ExpZigguratLayersHaveEqualArea) {
+  const detail::ExpZiggurat& z = detail::kExpZig;
+  const double m = 0x1.0p53;
+  const double v = detail::kExpZigV;
+  EXPECT_DOUBLE_EQ(z.w[255] * m, detail::kExpZigR);
+  EXPECT_DOUBLE_EQ(z.f[0], 1.0);
+  EXPECT_NEAR(z.w[0] * m * z.f[255], v, 1e-15);
+  EXPECT_NEAR(detail::kExpZigR * z.f[255] + z.f[255], v, 1e-12);
+  EXPECT_EQ(z.k[1], 0u);
+  for (std::size_t i = 1; i < 256; ++i) {
+    const double x = z.w[i] * m;
+    EXPECT_DOUBLE_EQ(z.f[i], std::exp(-x)) << "layer " << i;
+    EXPECT_NEAR(x * (z.f[i - 1] - z.f[i]), v, 1e-9 * v) << "layer " << i;
+    if (i >= 2) {
+      EXPECT_NEAR(static_cast<double>(z.k[i]), z.w[i - 1] / z.w[i] * m, 2.0)
+          << "layer " << i;
+    }
+  }
+}
+
+TEST(Rng, StdExponentialHasExp1Moments) {
+  Rng rng(47);
+  double sum = 0.0;
+  double sum2 = 0.0;
+  double max = 0.0;
+  const int trials = 400000;
+  for (int i = 0; i < trials; ++i) {
+    const double x = rng.StdExponential();
+    ASSERT_GE(x, 0.0);
+    sum += x;
+    sum2 += x * x;
+    max = std::max(max, x);
+  }
+  EXPECT_NEAR(sum / trials, 1.0, 0.01);
+  EXPECT_NEAR(sum2 / trials, 2.0, 0.05);  // E[X^2] = 2
+  // The tail beyond r = 7.697 carries mass e^-r * trials ~ 180 draws.
+  EXPECT_GT(max, detail::kExpZigR);
+}
+
+// The topology generators' skip: floor(Exp(1) / lambda), lambda =
+// -log(1-p), must follow Geometric(p) (failures before the first success)
+// exactly. Chi-square against the pmf over bins of probability >= 1/40
+// (the last bin is the tail), at a 1e-4 false-alarm rate.
+TEST(Rng, ZigguratSkipMatchesGeometricPmf) {
+  for (const double p : {0.5, 0.0758, 3.4e-4}) {
+    const std::uint64_t seed = 0x5eed0000ULL + static_cast<std::uint64_t>(p * 1e6);
+    SCOPED_TRACE("p=" + std::to_string(p) + " seed=" + std::to_string(seed));
+    const auto cdf = [p](double k) {  // P(X <= k)
+      return -std::expm1((k + 1.0) * std::log1p(-p));
+    };
+    std::vector<std::uint64_t> upper;  // bin b holds (upper[b-1], upper[b]]
+    double prev = 0.0;
+    for (std::uint64_t k = 0; 1.0 - prev > 1.0 / 40; ++k) {
+      if (cdf(static_cast<double>(k)) - prev >= 1.0 / 40) {
+        upper.push_back(k);
+        prev = cdf(static_cast<double>(k));
+      }
+    }
+    const int trials = 200000;
+    std::vector<double> observed(upper.size() + 1, 0.0);
+    Rng rng(seed);
+    const double inv_lambda = -1.0 / std::log1p(-p);
+    for (int i = 0; i < trials; ++i) {
+      const auto skip =
+          static_cast<std::uint64_t>(rng.StdExponential() * inv_lambda);
+      const auto bin = static_cast<std::size_t>(
+          std::lower_bound(upper.begin(), upper.end(), skip) - upper.begin());
+      observed[bin] += 1.0;
+    }
+    double chi2 = 0.0;
+    double below = 0.0;
+    for (std::size_t b = 0; b < observed.size(); ++b) {
+      const double at = b < upper.size() ? cdf(static_cast<double>(upper[b]))
+                                         : 1.0;
+      const double expected = (at - below) * trials;
+      below = at;
+      chi2 += (observed[b] - expected) * (observed[b] - expected) / expected;
+    }
+    // Wilson–Hilferty 0.9999 quantile of chi-square with df degrees.
+    const auto df = static_cast<double>(observed.size() - 1);
+    const double h = 2.0 / (9.0 * df);
+    const double critical = df * std::pow(1.0 - h + 3.719 * std::sqrt(h), 3);
+    std::printf("ziggurat skip vs Geometric(%g), seed %llu: chi2 %.1f, "
+                "critical %.1f, %zu bins\n",
+                p, static_cast<unsigned long long>(seed), chi2, critical,
+                observed.size());
+    EXPECT_LT(chi2, critical);
+  }
 }
 
 TEST(Rng, ShufflePreservesElements) {

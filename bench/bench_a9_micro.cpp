@@ -262,28 +262,70 @@ constexpr std::int64_t kPr5SendPlusDeliverNs = 28'112'415;
 /// cross-run, cross-machine trend line: recorded, not gated.
 constexpr double kPr7RoundsPerSec = 2862.3;
 
+/// Forwards every call to the wrapped adversary but publishes no
+/// composition, so the engine certifies the same topology stream on the
+/// general (delta-driven) T-interval checker — the general-checker reps
+/// below measure that path on the reference workload.
+class NoCompositionAdversary final : public net::Adversary {
+ public:
+  explicit NoCompositionAdversary(net::Adversary& inner) : inner_(inner) {}
+
+  [[nodiscard]] graph::NodeId num_nodes() const override {
+    return inner_.num_nodes();
+  }
+  [[nodiscard]] int interval() const override { return inner_.interval(); }
+  graph::Graph TopologyFor(std::int64_t round,
+                           const net::AdversaryView& view) override {
+    return inner_.TopologyFor(round, view);
+  }
+  void DeltaFor(std::int64_t round, const net::AdversaryView& view,
+                const graph::Graph& prev, graph::TopologyDelta& out) override {
+    inner_.DeltaFor(round, view, prev, out);
+  }
+  bool RoundEdgesInto(std::int64_t round, const net::AdversaryView& view,
+                      std::vector<graph::Edge>& out) override {
+    return inner_.RoundEdgesInto(round, view, out);
+  }
+  [[nodiscard]] bool oblivious() const override { return inner_.oblivious(); }
+  void SetShardRunner(const util::ShardRunner& run) override {
+    inner_.SetShardRunner(run);
+  }
+  [[nodiscard]] std::int64_t BufferBytes() const override {
+    return inner_.BufferBytes();
+  }
+  [[nodiscard]] std::string name() const override { return inner_.name(); }
+
+ private:
+  net::Adversary& inner_;
+};
+
 /// The fixed reference workload: one full hjswy run, N=1024, spine-gnp, T=2,
 /// probes off; T-interval validation ON by default (the recorded figures
 /// are certified runs — the certification A/B below measures what that
 /// costs). `threads` is EngineOptions::threads (1 = serial reference;
-/// results are bit-identical at every setting). `overlaps` drives all three
-/// pipelining toggles (prefetch_topology, async_certification,
-/// fused_send_deliver) as one switch for the pipeline A/B; results are
-/// bit-identical either way (the determinism suite pins it).
-/// `collect_metrics`/`anomaly` drive the observability plane for the anomaly
-/// A/B (both arms carry the registry; only the anomaly engine differs) —
-/// bit-identical again, same pin.
+/// results are bit-identical at every setting). `overlaps` drives both
+/// pipelining toggles (prefetch_topology, async_certification) as one
+/// switch for the pipeline A/B; results are bit-identical either way (the
+/// determinism suite pins it). `collect_metrics`/`anomaly` drive the
+/// observability plane for the anomaly A/B (both arms carry the registry;
+/// only the anomaly engine differs) — bit-identical again, same pin.
+/// `general_checker` hides the adversary's composition
+/// (NoCompositionAdversary), so certification runs the general checker.
 net::RunStats TimedReferenceRun(
     int threads, obs::FlightRecorder* recorder = nullptr, bool validate = true,
     bool overlaps = true, bool collect_metrics = false, bool anomaly = false,
-    const obs::AnomalyOptions* anomaly_options = nullptr) {
+    const obs::AnomalyOptions* anomaly_options = nullptr,
+    bool general_checker = false) {
   const graph::NodeId n = 1024;
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
   config.n = n;
   config.T = 2;
   config.seed = 42;
-  const auto adv = adversary::MakeAdversary(config);
+  const auto spine = adversary::MakeAdversary(config);
+  NoCompositionAdversary hidden(*spine);
+  net::Adversary* const adv =
+      general_checker ? static_cast<net::Adversary*>(&hidden) : spine.get();
   algo::HjswyOptions options;
   options.T = 2;
   // The pool outlives the engine (declared first): programs hold raw
@@ -303,7 +345,6 @@ net::RunStats TimedReferenceRun(
   opts.recorder = recorder;
   opts.prefetch_topology = overlaps;
   opts.async_certification = overlaps;
-  opts.fused_send_deliver = overlaps;
   opts.collect_metrics = collect_metrics;
   opts.anomaly = anomaly;
   if (anomaly_options != nullptr) opts.anomaly_options = *anomaly_options;
@@ -417,15 +458,19 @@ void ReportEngineTimings() {
     untraced_sd_ns = std::min(untraced_sd_ns,
                               message_path_ns(TimedReferenceRun(/*threads=*/1)));
   }
-  // The attached recorder forces the general T-interval checker, so the
-  // same reps also give its within-run marginal total / (total - validate):
-  // the median over the reps is general_checker_overhead_ratio.
+  // The traced reps hide the adversary's composition, so certification
+  // runs the general T-interval checker and the same reps also give its
+  // within-run marginal total / (total - validate): the median over the
+  // reps is general_checker_overhead_ratio.
   std::unique_ptr<obs::FlightRecorder> traced_rec;
   net::RunStats traced;
   std::vector<double> general_marginals;
   for (int rep = 0; rep < 3; ++rep) {
     auto rec = std::make_unique<obs::FlightRecorder>();
-    const net::RunStats s = TimedReferenceRun(/*threads=*/1, rec.get());
+    const net::RunStats s = TimedReferenceRun(
+        /*threads=*/1, rec.get(), /*validate=*/true, /*overlaps=*/true,
+        /*collect_metrics=*/false, /*anomaly=*/false,
+        /*anomaly_options=*/nullptr, /*general_checker=*/true);
     SDN_CHECK_MSG(s.checker_path == net::CheckerPath::kGeneral,
                   "traced reference run did not certify on the general path");
     general_marginals.push_back(
@@ -463,7 +508,7 @@ void ReportEngineTimings() {
       message_path_speedup_vs_pr3, message_path_speedup_vs_pr4,
       message_path_speedup_vs_pr5);
   std::printf(
-      "general checker (recorder attached, serial, median of 3): marginal "
+      "general checker (composition hidden, serial, median of 3): marginal "
       "overhead=%.3fx\n",
       general_checker_overhead_ratio);
 
@@ -582,11 +627,10 @@ void ReportEngineTimings() {
         hw);
   }
 
-  // Pipeline A/B: the same workload at threads=2 with every overlap off vs
-  // all three on (prefetch_topology + async_certification +
-  // fused_send_deliver). threads=2 is the minimal count where prefetch and
-  // the async checker can engage; fusion is thread-independent, so the off
-  // arm is the barriered phase engine and the on arm is the full pipeline.
+  // Pipeline A/B: the same workload at threads=2 with both overlaps off vs
+  // on (prefetch_topology + async_certification). threads=2 is the minimal
+  // count where prefetch and the async checker can engage, so the off arm
+  // is the barriered phase engine and the on arm is the full pipeline.
   // Interleaved pairs, medians of total_ns — same discipline as the other
   // A/Bs. The aux_*_ns fields of the on arm report how much topology /
   // certification work ran concurrently with deliver (overlap won, not

@@ -78,10 +78,7 @@ class CensusProgram {
 
   /// Send (net::NodeProgram): composes the round's
   /// message straight into `m`, overwriting every field (the slot is
-  /// reused across rounds). The window caches it refreshes (verify hash
-  /// freeze, per-window sent set) are keyed by the round's schedule
-  /// position, so a trailing speculative call mutates only state the
-  /// finished run never reads — the fused-send contract in net/program.hpp.
+  /// reused across rounds).
   bool OnSendInto(Round r, Message& m);
   void OnReceive(Round r, Inbox<Message> inbox);
   [[nodiscard]] bool HasDecided() const { return decided_.has_value(); }

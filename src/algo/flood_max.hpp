@@ -25,7 +25,7 @@ class FloodMaxKnownN {
   FloodMaxKnownN(NodeId id, NodeId n, Value input);
 
   /// Send (net::NodeProgram): overwrites the whole slot, reads only
-  /// `best_` — trivially safe to call speculatively.
+  /// `best_`.
   bool OnSendInto(Round r, Message& m);
   void OnReceive(Round r, Inbox<Message> inbox);
   [[nodiscard]] bool HasDecided() const { return decided_.has_value(); }
@@ -68,7 +68,7 @@ class ConsensusFloodKnownN {
   ConsensusFloodKnownN(NodeId id, NodeId n, Value input);
 
   /// Send (net::NodeProgram): overwrites the whole slot, reads only the
-  /// leader pair — trivially safe to call speculatively.
+  /// leader pair.
   bool OnSendInto(Round r, Message& m);
   void OnReceive(Round r, Inbox<Message> inbox);
   [[nodiscard]] bool HasDecided() const { return decided_.has_value(); }

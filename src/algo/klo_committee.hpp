@@ -59,11 +59,7 @@ class KloCommitteeProgram {
   KloCommitteeProgram(NodeId id, Value input);
 
   /// Send (net::NodeProgram): composes the round's
-  /// message straight into `m`, overwriting every field. Its cycle-keyed
-  /// state transitions (poll seed, invite issue, verify init) fire by
-  /// schedule position, so a trailing speculative call advances only state
-  /// the finished run never reads — the fused-send contract in
-  /// net/program.hpp.
+  /// message straight into `m`, overwriting every field.
   bool OnSendInto(Round r, Message& m);
   void OnReceive(Round r, Inbox<Message> inbox);
   [[nodiscard]] bool HasDecided() const { return decided_.has_value(); }

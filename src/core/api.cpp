@@ -190,7 +190,6 @@ class TypedSim final : public detail::SimBase {
     opts.threads = config_.threads;
     opts.prefetch_topology = config_.prefetch_topology;
     opts.async_certification = config_.async_certification;
-    opts.fused_send_deliver = config_.fused_send_deliver;
     opts.recorder = config_.recorder;
     opts.collect_metrics = config_.collect_metrics;
     opts.anomaly = config_.anomaly;

@@ -79,15 +79,13 @@ struct RunConfig {
   /// trial workers when left at 0 (auto), so sweeps don't oversubscribe.
   int threads = 0;
   /// Pipeline overlaps (EngineOptions::{prefetch_topology,
-  /// async_certification, fused_send_deliver}): compute the next round's
-  /// topology / run the T-interval checker / compose the next round's
-  /// messages concurrently with the deliver phase. Each engages only where
-  /// its preconditions hold (oblivious adversary, threads > 1, ...) and
-  /// RunStats is bit-identical on or off — off is a pure A/B knob for the
-  /// pipelining benchmarks (docs/PERF.md "Pipelining").
+  /// async_certification}): compute the next round's topology / run the
+  /// T-interval checker concurrently with the round loop. Each engages only
+  /// where its preconditions hold (oblivious adversary, threads > 1, ...)
+  /// and RunStats is bit-identical on or off — off is a pure A/B knob for
+  /// the pipelining benchmarks (docs/PERF.md "Pipelining").
   bool prefetch_topology = true;
   bool async_certification = true;
-  bool fused_send_deliver = true;
   /// Knobs for the hjswy suite (T / exact_census / strict are synced from
   /// the algorithm choice and the T above).
   algo::HjswyOptions hjswy{};

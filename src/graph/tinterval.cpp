@@ -337,12 +337,21 @@ bool TIntervalChecker::PushComposition(const RoundComposition& comp,
   if (ring_fresh_.empty()) {
     ring_fresh_.resize(static_cast<std::size_t>(t_));
     ring_ids_.assign(static_cast<std::size_t>(t_), {kNoId, kNoId});
-    spines_.reserve(2 * static_cast<std::size_t>(t_) + 8);
+    spines_.reserve(2 * static_cast<std::size_t>(t_));
   }
   const auto slot = static_cast<std::size_t>((r - 1) % t_);
   ring_fresh_[slot].assign(comp.fresh.begin(), comp.fresh.end());
   ring_ids_[slot] = {comp.core_id,
                      comp.support.empty() ? kNoId : comp.support_id};
+  // Keep spine owners only for ids the last-T ring still references: the
+  // witness test and the exact-window fallback read nothing older, and a
+  // retained owner pins a whole spine the adversary has already retired.
+  std::erase_if(spines_, [this](const SpineRecord& rec) {
+    return std::none_of(ring_ids_.begin(), ring_ids_.end(),
+                        [&rec](const std::array<std::uint64_t, 2>& ids) {
+                          return ids[0] == rec.id || ids[1] == rec.id;
+                        });
+  });
 
   bool full_verify = false;
   EnsureSpineVerified(comp.core_id, comp.core, comp.core_owner, &full_verify);
@@ -439,22 +448,11 @@ void TIntervalChecker::EnsureSpineVerified(
   if (ids_first_seen_ <= 2 || ids_first_seen_ % 16 == 0) {
     *full_verify = true;
   }
-  // The FIFO eviction horizon of 2T+8 ids can never reach an id still
-  // referenced by the last-T ring (at most two new ids per round), so the
-  // owned copies the fallback reconstructs from are always available.
-  const std::size_t cap = 2 * static_cast<std::size_t>(t_) + 8;
-  SpineRecord* rec;
-  if (spines_.size() < cap) {
-    rec = &spines_.emplace_back();
-  } else {
-    rec = &spines_[spine_evict_ % cap];
-    ++spine_evict_;
-  }
-  rec->id = id;
-  rec->data = edges.data();
-  rec->size = edges.size();
-  rec->connected = connected;
-  rec->owner = owner;
+  spines_.push_back({.id = id,
+                     .data = edges.data(),
+                     .size = edges.size(),
+                     .connected = connected,
+                     .owner = owner});
 }
 
 void TIntervalChecker::CheckComposition(const RoundComposition& comp,

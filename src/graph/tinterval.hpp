@@ -287,8 +287,8 @@ class TIntervalChecker {
   // cost is O(|fresh|), not O(|E|).
   std::vector<std::vector<Edge>> ring_fresh_;
   std::vector<std::array<std::uint64_t, 2>> ring_ids_;
-  std::vector<SpineRecord> spines_;   // verified-id cache (FIFO evicted)
-  std::size_t spine_evict_ = 0;
+  /// Verified-id cache: exactly the ids ring_ids_ references (at most 2T).
+  std::vector<SpineRecord> spines_;
   std::int64_t ids_first_seen_ = 0;   // full-verification schedule counter
   std::vector<Edge> isect_a_, isect_b_;  // intersection scratch
   std::vector<Edge> recon_, recon_base_;  // round-reconstruction scratch

@@ -32,10 +32,6 @@
 // either per-node (disjoint writes) or an order-independent integer
 // reduction, so results are bit-identical at any thread count —
 // docs/PERF.md spells out the argument.
-//
-// Fused send/deliver (EngineOptions::fused_send_deliver) stages round r+1's
-// messages inside round r's deliver pass; with the driver's two lanes it
-// makes up the pipelined round (docs/PERF.md "Pipelining").
 #pragma once
 
 #include <algorithm>
@@ -77,13 +73,10 @@ class Engine final : private AdversaryView {
   ~Engine() {
     // The outbox lives in the arena, which never runs element destructors;
     // message types with non-trivial state (e.g. a census shared_ptr) are
-    // destroyed here — both halves of the double buffer — before the arena
-    // member releases its chunks. The driver's lanes never touch the
-    // outbox.
+    // destroyed here, before the arena member releases its chunks. The
+    // driver's lanes never touch the outbox.
     if constexpr (!std::is_trivially_destructible_v<Message>) {
-      for (std::span<Message> buf : outbox_) {
-        for (Message& m : buf) std::destroy_at(&m);
-      }
+      for (Message& m : outbox_) std::destroy_at(&m);
     }
   }
 
@@ -105,37 +98,21 @@ class Engine final : private AdversaryView {
     // *recorded* per shard (first in node order) instead of thrown from a
     // worker — the merge below deterministically picks the lowest node and
     // fails the run from this thread.
-    //
-    // Fused fast path: when the previous round's deliver pass already
-    // staged this round's messages, the send phase degenerates to a buffer
-    // flip — the staged half becomes the live outbox, and the staged
-    // accumulators are folded into the stats exactly as a freshly-run send
-    // phase's would be. The flip sits here, after validate and probes, so
-    // an abort above leaves the staged round unmerged — the serial
-    // engine's books at the same round.
-    const bool fused_consume = staged_valid_;
-    if (fused_consume) {
-      staged_valid_ = false;
-      live_ ^= 1;
-    } else {
-      driver_.ForShards([&](int shard, std::int64_t begin, std::int64_t end) {
-        ShardAccum& acc = shard_accum_[static_cast<std::size_t>(shard)];
-        acc = ShardAccum{};
-        Message* out = outbox_[live_].data();
-        unsigned char* sent = sent_[live_].data();
-        for (std::int64_t u = begin; u < end; ++u) {
-          if (Send(nodes_[static_cast<std::size_t>(u)], round, u, out, sent,
-                   acc, bit_limit)) {
-            ++stats.sends_per_node[static_cast<std::size_t>(u)];
-          }
+    driver_.ForShards([&](int shard, std::int64_t begin, std::int64_t end) {
+      ShardAccum& acc = shard_accum_[static_cast<std::size_t>(shard)];
+      acc = ShardAccum{};
+      for (std::int64_t u = begin; u < end; ++u) {
+        if (Send(nodes_[static_cast<std::size_t>(u)], round, u, acc,
+                 bit_limit)) {
+          ++stats.sends_per_node[static_cast<std::size_t>(u)];
         }
-      });
-    }
-    // The send window ends at the phase barrier (or the fused flip); the
-    // shard merge below is engine bookkeeping and lands in other_ns.
+      }
+    });
+    // The send window ends at the phase barrier; the shard merge below is
+    // engine bookkeeping and lands in other_ns.
     driver_.EndSend();
     std::int64_t round_sent = 0;
-    for (const ShardAccum& acc : fused_consume ? staged_accum_ : shard_accum_) {
+    for (const ShardAccum& acc : shard_accum_) {
       round_sent += acc.messages_sent;
       stats.messages_sent += acc.messages_sent;
       stats.total_message_bits += acc.total_message_bits;
@@ -146,13 +123,6 @@ class Engine final : private AdversaryView {
             BandwidthViolation{acc.violation_node, round, acc.violation_bits};
       }
     }
-    if (fused_consume) {
-      // Staged stats had to stay discardable until the merge, so the
-      // per-node send tally was deferred; fold it in from the sent flags.
-      std::int64_t* const spn = stats.sends_per_node.data();
-      const unsigned char* const sent = sent_[live_].data();
-      for (std::int64_t u = 0; u < n_; ++u) spn[u] += sent[u];
-    }
 
     // Deliver phase (BeginDeliver first fails the run if the merge above
     // recorded a bandwidth violation), on the dense or the gather Inbox
@@ -162,26 +132,15 @@ class Engine final : private AdversaryView {
     // prefetching them back to back buys memory-level parallelism across
     // the receiver's whole inbox. Decisions land in per-node slots plus a
     // per-shard count, reduced below instead of mutated inline.
-    //
-    // Fused staging: while this round's deliver pass holds each node hot,
-    // compose its round r+1 message into the inactive outbox half. The
-    // per-node call order (OnReceive(r), OnSendInto(r+1)) is exactly the
-    // serial engine's — nothing between them ever touches node state — and
-    // the staged stats stay in staged_accum_, discardable until round r+1's
-    // flip merges them.
     const bool dense = round_sent == n_;
     ++(dense ? dense_rounds_ : gather_rounds_);
-    const bool stage_next = fused_ && round < driver_.options().max_rounds;
     driver_.BeginDeliver();
     driver_.ForShards([&](int shard, std::int64_t begin, std::int64_t end) {
       const auto s = static_cast<std::size_t>(shard);
       ShardAccum& acc = shard_accum_[s];
       acc = ShardAccum{};
-      if (stage_next) staged_accum_[s] = ShardAccum{};
-      const Message* outbox = outbox_[live_].data();
-      const unsigned char* sent = sent_[live_].data();
-      Message* stage_out = outbox_[live_ ^ 1].data();
-      unsigned char* stage_sent = sent_[live_ ^ 1].data();
+      const Message* outbox = outbox_.data();
+      const unsigned char* sent = sent_.data();
       std::vector<const Message*>& slots = shard_slots_[s];
       for (std::int64_t u = begin; u < end; ++u) {
         const std::span<const graph::NodeId> ids =
@@ -209,13 +168,8 @@ class Engine final : private AdversaryView {
           stats.decide_round[static_cast<std::size_t>(u)] = round;
           ++acc.decided;
         }
-        if (stage_next) {
-          (void)Send(node, round + 1, u, stage_out, stage_sent,
-                     staged_accum_[s], bit_limit);
-        }
       }
     });
-    staged_valid_ = stage_next;
     // Deliver window ends at the barrier; merge + decision bookkeeping are
     // other_ns.
     driver_.EndDeliver();
@@ -315,14 +269,13 @@ class Engine final : private AdversaryView {
     return nodes_[static_cast<std::size_t>(u)].PublicState();
   }
 
-  /// Composes node u's round-r message into out[u], sets its sent flag and
-  /// books it in `acc`; returns whether the node sent.
-  static bool Send(A& node, Round r, std::int64_t u, Message* out,
-                   unsigned char* sent, ShardAccum& acc,
-                   std::int64_t bit_limit) {
-    Message& slot = out[static_cast<std::size_t>(u)];
+  /// Composes node u's round-r message into its outbox slot, sets its sent
+  /// flag and books it in `acc`; returns whether the node sent.
+  bool Send(A& node, Round r, std::int64_t u, ShardAccum& acc,
+            std::int64_t bit_limit) {
+    Message& slot = outbox_[static_cast<std::size_t>(u)];
     const bool did = node.OnSendInto(r, slot);
-    sent[static_cast<std::size_t>(u)] = did ? 1 : 0;
+    sent_[static_cast<std::size_t>(u)] = did ? 1 : 0;
     if (!did) return false;
     const auto bits = static_cast<std::int64_t>(A::MessageBits(slot));
     if (bits > bit_limit && acc.violation_node < 0) {
@@ -350,25 +303,13 @@ class Engine final : private AdversaryView {
     stats.decide_round.assign(n, -1);
     stats.sends_per_node.assign(n, 0);
     stats.bit_limit = driver_.options().bandwidth.BitLimit(n_);
-    // Fused send/deliver needs an adversary that never samples
-    // PublicState between deliver r and send r+1 — i.e. an oblivious one.
-    // Deliberately not thread-gated: staging runs inside whatever deliver
-    // schedule (serial or sharded) the run already uses.
-    fused_ = driver_.options().fused_send_deliver &&
-             driver_.adversary().oblivious();
     // MakeArray value-initializes: outbox slots default-constructed, sent
-    // flags zero. Fused mode double-buffers both arrays so round r+1's
-    // staged messages never alias the slots round r is still delivering.
-    const std::size_t halves = fused_ ? 2 : 1;
-    for (std::size_t b = 0; b < halves; ++b) {
-      outbox_[b] = arena_.MakeArray<Message>(n);
-      sent_[b] = arena_.MakeArray<unsigned char>(n);
-    }
-    driver_.ChargeEngine(
-        static_cast<std::int64_t>(n * (sizeof(Message) + 1) * halves),
-        static_cast<std::int64_t>(n * sizeof(A)));
+    // flags zero.
+    outbox_ = arena_.MakeArray<Message>(n);
+    sent_ = arena_.MakeArray<unsigned char>(n);
+    driver_.ChargeEngine(static_cast<std::int64_t>(n * (sizeof(Message) + 1)),
+                         static_cast<std::int64_t>(n * sizeof(A)));
     shard_accum_.assign(driver_.shards(), ShardAccum{});
-    if (fused_) staged_accum_.assign(driver_.shards(), ShardAccum{});
     shard_slots_.resize(driver_.shards());
     undecided_ = n_;
     for (std::size_t u = 0; u < n; ++u) {
@@ -390,17 +331,11 @@ class Engine final : private AdversaryView {
 
   // Engine-lifetime arrays live in one arena: a single max-aligned chunk
   // per array instead of vector headers + allocator round-trips, destroyed
-  // wholesale (see ~Engine for the non-trivial Message case). Both arrays
-  // are double-buffered under fused send/deliver; live_ names the half the
-  // current round delivers from.
+  // wholesale (see ~Engine for the non-trivial Message case).
   util::Arena arena_;
-  std::span<Message> outbox_[2];      // raw slots, one per node
-  std::span<unsigned char> sent_[2];  // 1 iff the slot is live
-  int live_ = 0;
-  bool fused_ = false;
-  bool staged_valid_ = false;
+  std::span<Message> outbox_;      // raw slots, one per node
+  std::span<unsigned char> sent_;  // 1 iff the slot is live
   std::vector<ShardAccum> shard_accum_;
-  std::vector<ShardAccum> staged_accum_;
   std::vector<std::vector<const Message*>> shard_slots_;
 
   // Delivery-path round counters (dense = all-sent rounds).

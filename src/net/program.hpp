@@ -18,9 +18,8 @@
 // unless the algorithm itself chooses to go silent.
 //
 // Memory layout. The engine owns one raw outbox: a Message slot per node,
-// reused every round (two of them, alternating, under fused send/deliver),
-// plus a separate sent-flag byte per node, so silentness never touches a
-// message cache line. Delivery is zero-copy, with two backings behind the
+// reused every round, plus a separate sent-flag byte per node, so
+// silentness never touches a message cache line. Delivery is zero-copy, with two backings behind the
 // same Inbox view:
 //
 //   * dense (the common case): when every node sent this round, an Inbox is
@@ -141,17 +140,9 @@ class Inbox {
 /// into `slot` and returns whether the node sent. Slots are reused across
 /// rounds, so a sender must overwrite every field a receiver may read (only
 /// payload lanes beyond the declared count may keep stale bytes); a silent
-/// node may leave the slot in any state, since no receiver sees it.
-///
-/// Speculative calls: under fused send/deliver the engine composes round
-/// r+1's message immediately after the node's round-r OnReceive — the
-/// per-node call order (..., OnReceive(r), OnSendInto(r+1), OnReceive(r+1),
-/// ...) is exactly the serial engine's, but when the run ends or aborts at
-/// round r the trailing OnSendInto(r+1) has already happened and its output
-/// is discarded. A program must therefore tolerate one final OnSendInto
-/// whose message is never delivered: any state it mutates (schedule-window
-/// caches, sent-token bookkeeping) must be invisible to everything read
-/// after the run — HasDecided, output, PublicState, ObsPhase.
+/// node may leave the slot in any state, since no receiver sees it. The
+/// engine calls OnSendInto exactly once per executed round, before that
+/// round's OnReceive, and never for a round it does not execute.
 template <typename A>
 concept NodeProgram = requires(
     A a, const A ca, Round r,

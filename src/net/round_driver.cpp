@@ -74,12 +74,8 @@ void RoundDriver::Start() {
           options_.anomaly_options, registry_.get(), rec_);
     }
   }
-  // Fault hook (see BeginDeliver): read once so the hot path pays two
-  // integer compares, not two getenv calls per round.
-  if (const char* e = std::getenv("SDN_FAULT_DELIVER_SLEEP_MS");
-      e != nullptr && *e != '\0') {
-    fault_sleep_ms_ = std::atoll(e);
-  }
+  // Fault hook (see BeginDeliver): the faulted round is read once here, the
+  // stall length only when that round's deliver window opens.
   if (const char* e = std::getenv("SDN_FAULT_DELIVER_ROUND");
       e != nullptr && *e != '\0') {
     fault_round_ = std::atoll(e);
@@ -92,20 +88,16 @@ void RoundDriver::Start() {
   // Certification fast path: a composition-exposing adversary lets the
   // checker certify windows by witness identity, so no delta needs to be
   // materialized for it at all — the topology hot path stays identical to
-  // an unvalidated run. Excluded when a flight recorder is attached (its
-  // kCheckerWindow track reads the delta path's stable_edge_count) or a
-  // trace recorder forces deltas anyway.
-  use_composition_ = checker_ != nullptr && adversary_.has_composition() &&
-                     rec_ == nullptr && options_.record_trace == nullptr;
+  // an unvalidated run. The choice depends on the adversary alone; sinks
+  // (flight recorder, trace recorder) read the published CertSample and
+  // the delta buffer, never steer the checker.
+  use_composition_ = checker_ != nullptr && adversary_.has_composition();
   if (checker_ != nullptr) {
     stats_.checker_path =
         use_composition_ ? CheckerPath::kComposition : CheckerPath::kGeneral;
-    stats_.checker_path_reason =
-        use_composition_ ? "adversary publishes a composition"
-        : !adversary_.has_composition()
-            ? "adversary publishes no composition"
-        : rec_ != nullptr ? "recorder attached"
-                          : "trace recorder attached";
+    stats_.checker_path_reason = use_composition_
+                                     ? "adversary publishes a composition"
+                                     : "adversary publishes no composition";
   }
   // Deltas are materialized whenever something consumes them: the
   // streaming validator (unless it rides the composition fast path) or a
@@ -155,13 +147,12 @@ void RoundDriver::Start() {
   // orders the accesses.
   prefetch_enabled_ = options_.prefetch_topology && threads > 1 &&
                       shards_ >= 2 && adversary_.oblivious();
-  // Async certification excludes exactly the configurations that read
-  // checker state mid-round: fail-fast (the verdict gates the round) and a
-  // flight recorder (its per-round kCheckerWindow track). Snapshot() is the
-  // rendezvous for everything else.
+  // Async certification excludes exactly the configuration whose round
+  // depends on the verdict: fail-fast. Snapshot() is the rendezvous for
+  // verdicts; the sinks read the round-tagged CertSample the lane
+  // publishes.
   async_cert_ = checker_ != nullptr && options_.async_certification &&
-                !options_.fail_fast_on_tinterval && rec_ == nullptr &&
-                threads > 1;
+                !options_.fail_fast_on_tinterval && threads > 1;
 
   for (int i = 0; i < options_.flood_probes; ++i) {
     const graph::NodeId src = (i == 0) ? graph::NodeId{0} : RandomSource();
@@ -266,7 +257,8 @@ void RoundDriver::Certify(const graph::Graph& g) {
     // backpressures Submit, so the lane lags at most kCertQueueDepth
     // rounds; Snapshot() is the rendezvous that drains it before any
     // verdict (or checker error) is read. Fail-fast, the only consumer of
-    // a per-round verdict, pins the synchronous path.
+    // a per-round verdict, pins the synchronous path. Each task publishes
+    // its round's CertSample for the sinks.
     if (comp != nullptr) {
       // The claim's core/support spans ride on their shared owners (the
       // span-lifetime contract — no spine copy); only the volatile fresh
@@ -274,7 +266,7 @@ void RoundDriver::Certify(const graph::Graph& g) {
       // keep the heap buffer, so spans fixed up at execution time survive
       // the closure's moves through the queue.
       cert_lane_.Submit(util::UniqueTask(
-          [this, jc = *comp,
+          [this, r = round_, jc = *comp,
            fresh = std::vector<graph::Edge>(comp->fresh.begin(),
                                             comp->fresh.end()),
            edges = std::vector<graph::Edge>(g.Edges().begin(),
@@ -284,12 +276,14 @@ void RoundDriver::Certify(const graph::Graph& g) {
             (void)checker_->PushComposition(
                 jc, std::span<const graph::Edge>(edges));
             cert_ns_ += NsSince(c0);
+            PublishCertSample(r);
           }));
     } else {
-      cert_lane_.Submit(util::UniqueTask([this, d = delta_]() {
+      cert_lane_.Submit(util::UniqueTask([this, r = round_, d = delta_]() {
         const auto c0 = Clock::now();
         (void)checker_->PushDelta(d);
         cert_ns_ += NsSince(c0);
+        PublishCertSample(r);
       }));
     }
     return;
@@ -299,6 +293,7 @@ void RoundDriver::Certify(const graph::Graph& g) {
   // built from.
   const bool round_ok = comp != nullptr ? checker_->PushComposition(*comp, g)
                                         : checker_->PushDelta(delta_);
+  PublishCertSample(round_);
   if (round_ok || !options_.fail_fast_on_tinterval) return;
   // Mirror the bandwidth-violation fail shape: record, close the books,
   // surface through the recorder, then throw from Step().
@@ -369,12 +364,16 @@ void RoundDriver::BeginDeliver() {
         }));
   }
   t_[5] = Clock::now();
-  // Fault hook (SDN_FAULT_DELIVER_SLEEP_MS / SDN_FAULT_DELIVER_ROUND, read
-  // once in Start): stall the deliver window of one round so the anomaly
-  // smoke test has a real spike to detect. Wall clock only — no run state
-  // is touched, so deterministic RunStats are unchanged.
-  if (fault_sleep_ms_ > 0 && round_ == fault_round_) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(fault_sleep_ms_));
+  // Fault hook (SDN_FAULT_DELIVER_ROUND, read in Start, and
+  // SDN_FAULT_DELIVER_SLEEP_MS, read here): stall the deliver window of one
+  // round so the anomaly smoke test has a real spike to detect. Reading the
+  // stall as the window opens lets a caller size it from the run's own
+  // rolling latencies. Wall clock only — no run state is touched, so
+  // deterministic RunStats are unchanged.
+  if (round_ == fault_round_) {
+    const char* e = std::getenv("SDN_FAULT_DELIVER_SLEEP_MS");
+    const long long ms = e != nullptr ? std::atoll(e) : 0;
+    if (ms > 0) std::this_thread::sleep_for(std::chrono::milliseconds(ms));
   }
 }
 
@@ -394,8 +393,14 @@ void RoundDriver::Observe(std::int64_t delivered,
                           const std::optional<ProgramPhase>& phase) {
   // Observability sinks run after the final clock read, so their cost
   // never lands in any timing bucket — and RunStats (including timings) is
-  // identical with the sinks on or off.
-  if (rec_ != nullptr) ObserveRecorder(delivered, phase);
+  // identical with the sinks on or off. Both sinks read the checker only
+  // through its latest published CertSample, which under async
+  // certification may trail this round by up to the lane depth.
+  CertSample cert;
+  if (checker_ != nullptr && (rec_ != nullptr || anomaly_ != nullptr)) {
+    cert = LatestCertSample();
+  }
+  if (rec_ != nullptr) ObserveRecorder(delivered, phase, cert);
   if (registry_ == nullptr) return;
   hist_round_edges_->Observe(topo_.View().num_edges());
   hist_round_deliveries_->Observe(delivered);
@@ -412,14 +417,11 @@ void RoundDriver::Observe(std::int64_t delivered,
   sig.deliver_ns = ElapsedNs(t_[5], t_[6]);
   sig.total_ns = ElapsedNs(t_[0], t_[7]);
   sig.aux_wait_ns = aux_wait_ns_round_;
-  // Under async certification the checker runs on its own lane and reading
-  // it here would race; certified_T = -1 means "not sampled" and the
-  // cert-regression rule skips the round. Recorder-attached runs (the only
-  // ones that can dump) always have the synchronous checker, so
-  // dump-capable runs never lose the signal.
-  if (checker_ != nullptr && !async_cert_) {
-    sig.certified_T = checker_->certified_T();
-    sig.first_bad_window = checker_->first_bad_window();
+  // Round 0 = no certification step has published yet; certified_T stays
+  // -1 and the cert-regression rule skips the round.
+  if (cert.round > 0) {
+    sig.certified_T = cert.certified_T;
+    sig.first_bad_window = cert.first_bad_window;
   }
   if (rec_ != nullptr) sig.recorder_dropped = rec_->dropped();
   const std::array<obs::MemorySample, 6> mem = {{
@@ -651,11 +653,30 @@ void RoundDriver::EmitPhaseSpans(bool with_deliver) {
   if (with_deliver) span("deliver", t_[5], t_[6]);
 }
 
+/// Publishes the checker's state after round `r` was pushed — on whichever
+/// thread ran the push, so the checker is never read concurrently.
+void RoundDriver::PublishCertSample(std::int64_t r) {
+  const CertSample sample{.round = r,
+                          .ok = checker_->ok(),
+                          .certified_T = checker_->certified_T(),
+                          .first_bad_window = checker_->first_bad_window(),
+                          .stable_edge_count = checker_->stable_edge_count()};
+  const std::lock_guard<std::mutex> lock(cert_mu_);
+  cert_sample_ = sample;
+}
+
+RoundDriver::CertSample RoundDriver::LatestCertSample() const {
+  const std::lock_guard<std::mutex> lock(cert_mu_);
+  return cert_sample_;
+}
+
 /// Per-round flight-recorder emission: phase spans, the algorithm-phase
 /// track and sketch-merge progress from the program's phase sample,
-/// checker window state, and bandwidth high-water marks.
+/// checker window state (stamped with the sample's own round), and
+/// bandwidth high-water marks.
 void RoundDriver::ObserveRecorder(std::int64_t delivered,
-                                  const std::optional<ProgramPhase>& phase) {
+                                  const std::optional<ProgramPhase>& phase,
+                                  const CertSample& cert) {
   EmitPhaseSpans(/*with_deliver=*/true);
   const std::int64_t now = rec_->RelNs(t_[6]);
   if (phase.has_value()) {
@@ -680,22 +701,18 @@ void RoundDriver::ObserveRecorder(std::int64_t delivered,
       obs_merges_total_ = phase->work;
     }
   }
-  if (checker_ != nullptr) {
-    const std::int64_t stable = checker_->stable_edge_count();
-    const bool ok = checker_->ok();
-    const std::int64_t cert = checker_->certified_T();
-    if (stable != obs_stable_edges_ || ok != obs_checker_ok_ ||
-        cert != obs_cert_) {
-      obs_stable_edges_ = stable;
-      obs_checker_ok_ = ok;
-      obs_cert_ = cert;
-      rec_->Emit({.kind = obs::EventKind::kCheckerWindow,
-                  .round = round_,
-                  .t_ns = now,
-                  .a = stable,
-                  .b = ok ? 1 : 0,
-                  .c = cert});
-    }
+  if (cert.round > 0 &&
+      (cert.stable_edge_count != obs_stable_edges_ ||
+       cert.ok != obs_checker_ok_ || cert.certified_T != obs_cert_)) {
+    obs_stable_edges_ = cert.stable_edge_count;
+    obs_checker_ok_ = cert.ok;
+    obs_cert_ = cert.certified_T;
+    rec_->Emit({.kind = obs::EventKind::kCheckerWindow,
+                .round = cert.round,
+                .t_ns = now,
+                .a = cert.stable_edge_count,
+                .b = cert.ok ? 1 : 0,
+                .c = cert.certified_T});
   }
   if (stats_.max_message_bits > obs_hw_bits_) {
     obs_hw_bits_ = stats_.max_message_bits;

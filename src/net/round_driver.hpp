@@ -9,8 +9,9 @@
 //     adversary's direct round list and its delta, and the prefetch lane
 //     that builds round r+1's topology while round r delivers;
 //   * certification: the composition-vs-general checker choice (with its
-//     RunStats::checker_path reason), the async certification lane and
-//     fail-fast;
+//     RunStats::checker_path reason; a function of the adversary alone),
+//     the async certification lane, fail-fast and the round-tagged
+//     CertSample each certification step publishes for the sinks;
 //   * flooding probes, memory gauges and the EngineTimings partition;
 //   * the flight recorder, metrics registry and anomaly plane, the
 //     SDN_FAULT_* deliver stall, and the non-program half of stats().
@@ -25,6 +26,7 @@
 #include <chrono>
 #include <cstdint>
 #include <memory>
+#include <mutex>
 #include <optional>
 #include <vector>
 
@@ -89,23 +91,12 @@ struct EngineOptions {
   /// the topology may mutate freely; stats() is the deterministic
   /// rendezvous — it drains the lane before reading any verdict, and a
   /// checker error (e.g. a lying composition) surfaces there instead of
-  /// mid-Step. Engages only when threads > 1 with no flight recorder (its
-  /// per-round checker track needs synchronous state) and without
+  /// mid-Step. Engages only when threads > 1 and without
   /// fail_fast_on_tinterval (fail-fast keeps the synchronous checker so the
-  /// abort round matches the serial engine exactly).
+  /// abort round matches the serial engine exactly); a flight recorder or
+  /// the anomaly plane reads the CertSample each lane task publishes.
   /// RunStats is bit-identical on or off.
   bool async_certification = true;
-  /// Fuse the send phase into the previous round's deliver pass: each
-  /// node composes round r+1's message right after its round-r OnReceive,
-  /// into the inactive half of a double-buffered outbox, killing the
-  /// send-phase barrier and its outbox sweep. The buffers flip in round
-  /// r+1's send window — after validate and probes — so staged work is
-  /// discarded on abort and RunStats stays bit-identical (the per-node
-  /// call order is exactly the serial engine's; see the speculative-call
-  /// contract in net/program.hpp). Engages only under oblivious
-  /// adversaries (adaptive ones sample PublicState between deliver r and
-  /// send r+1).
-  bool fused_send_deliver = true;
   /// When set, every round's topology is streamed into this delta-encoded
   /// v2 trace writer (net/trace.hpp) — recording without retaining the
   /// graph sequence in memory. Must outlive the engine; the engine does not
@@ -201,7 +192,6 @@ class RoundDriver {
   /// and decisions into them.
   [[nodiscard]] RunStats& stats() { return stats_; }
   [[nodiscard]] const EngineOptions& options() const { return options_; }
-  [[nodiscard]] const Adversary& adversary() const { return adversary_; }
   [[nodiscard]] std::int64_t round() const { return round_; }
   [[nodiscard]] const graph::Graph& topology() const { return topo_.View(); }
   /// A flight recorder is attached (the engine samples ProgramPhase only
@@ -233,17 +223,31 @@ class RoundDriver {
     bool has_delta = false;
   };
 
+  /// The checker's state after one certification step, published by that
+  /// step (synchronous, or on the cert lane) and read by the sinks in
+  /// Observe. round 0 = no step has published yet.
+  struct CertSample {
+    std::int64_t round = 0;
+    bool ok = true;
+    std::int64_t certified_T = -1;
+    std::int64_t first_bad_window = -1;
+    std::int64_t stable_edge_count = -1;  // -1 on the composition path
+  };
+
   void DrainTopoLane();
   RoundTopology ProduceTopology(std::int64_t r, bool direct,
                                 graph::TopologyDelta& delta);
   [[nodiscard]] bool WantDirectTopology() const;
   void UpdateTopologyChurn(bool has_delta);
   void Certify(const graph::Graph& g);
+  void PublishCertSample(std::int64_t r);
+  [[nodiscard]] CertSample LatestCertSample() const;
   void AccumulateTimings();
   [[noreturn]] void FailBandwidth();
   void EmitPhaseSpans(bool with_deliver);
   void ObserveRecorder(std::int64_t delivered,
-                       const std::optional<ProgramPhase>& phase);
+                       const std::optional<ProgramPhase>& phase,
+                       const CertSample& cert);
   [[nodiscard]] graph::NodeId RandomSource();
   void StepProbes(const graph::Graph& g);
   void RecordProbeCompletion(std::size_t slot, const FloodProbe& p);
@@ -300,6 +304,9 @@ class RoundDriver {
   bool prefetch_pending_ = false;
   std::int64_t prefetch_ns_ = 0;
   std::int64_t cert_ns_ = 0;
+  /// Latest CertSample; written by the certification step's thread.
+  mutable std::mutex cert_mu_;
+  CertSample cert_sample_;
 
   // Memory accounting (Start): budget_ points at the caller's MemoryBudget
   // or the owned fallback; gauge pointers are resolved once and stable.
@@ -327,9 +334,8 @@ class RoundDriver {
   std::unique_ptr<obs::AnomalyEngine> anomaly_;
   /// This round's auxiliary-lane drain wait (anomaly signal).
   std::int64_t aux_wait_ns_round_ = 0;
-  /// Fault hook (SDN_FAULT_DELIVER_SLEEP_MS / SDN_FAULT_DELIVER_ROUND,
-  /// read once in Start): wall-clock stall of one deliver window.
-  std::int64_t fault_sleep_ms_ = 0;
+  /// Fault hook: the round whose deliver window SDN_FAULT_DELIVER_SLEEP_MS
+  /// stalls (SDN_FAULT_DELIVER_ROUND, read in Start).
   std::int64_t fault_round_ = 1;
   const char* obs_algo_label_ = nullptr;  // last emitted algo-phase label
   std::int64_t obs_algo_index_ = -1;

@@ -10,12 +10,12 @@
 // prefetch disabled, parallel phases still on). n = 192 gives 3 shards, so
 // threads > 1 genuinely takes the pool path.
 //
-// The pipelining overlaps (prefetch_topology, async_certification,
-// fused_send_deliver) carry the same contract: each is a pure scheduling
-// change, so the overlap matrix below runs every toggle individually and
-// all together, across thread counts and across oblivious / adaptive /
-// streaming-trace adversaries, against an all-overlaps-off serial
-// reference.
+// The pipelining overlaps (prefetch_topology, async_certification) carry
+// the same contract: each is a pure scheduling change, so the overlap
+// matrix below runs every toggle individually and both together, across
+// thread counts, with a flight recorder attached and not, and across
+// oblivious / adaptive / streaming-trace adversaries, against an
+// all-overlaps-off serial reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +30,7 @@
 #include "algo/hjswy.hpp"
 #include "algo/sketch_pool.hpp"
 #include "core/api.hpp"
+#include "core/simulation.hpp"
 #include "graph/delta.hpp"
 #include "net/engine.hpp"
 #include "net/trace.hpp"
@@ -65,6 +66,18 @@ void ExpectIdenticalRuns(const RunResult& a, const RunResult& b) {
   EXPECT_EQ(a.consensus_agreement, b.consensus_agreement);
 }
 
+/// RunStats::memory, subsystem by subsystem (the gauges are pure functions
+/// of n and the topology stream).
+void ExpectSameMemory(const net::RunStats& a, const net::RunStats& b) {
+  ASSERT_EQ(a.memory.size(), b.memory.size());
+  for (std::size_t i = 0; i < a.memory.size(); ++i) {
+    SCOPED_TRACE(a.memory[i].subsystem);
+    EXPECT_EQ(a.memory[i].subsystem, b.memory[i].subsystem);
+    EXPECT_EQ(a.memory[i].current_bytes, b.memory[i].current_bytes);
+    EXPECT_EQ(a.memory[i].peak_bytes, b.memory[i].peak_bytes);
+  }
+}
+
 void CheckThreadInvariance(Algorithm algorithm, const std::string& adversary,
                            std::int64_t max_rounds) {
   RunConfig config;
@@ -88,11 +101,13 @@ void CheckThreadInvariance(Algorithm algorithm, const std::string& adversary,
 }
 
 // One overlap-matrix sweep: an all-overlaps-off serial run is the
-// reference; each pipelining toggle alone, and all three together, must
-// reproduce it bit-for-bit at threads 1, 2 and hardware. Certification is
-// ON here (unlike the thread-invariance tests above) so the
-// async-certification lane is genuinely exercised and its verdict fields
-// are compared against the synchronous checker's.
+// reference; each pipelining toggle alone, and both together, must
+// reproduce it bit-for-bit at threads 1, 2 and hardware, with and without
+// a flight recorder attached (observation picks neither the checker nor
+// the certification schedule). Certification is ON here (unlike the
+// thread-invariance tests above) so the async-certification lane is
+// genuinely exercised and its verdict fields are compared against the
+// synchronous checker's.
 void CheckOverlapInvariance(Algorithm algorithm, const std::string& adversary,
                             std::int64_t max_rounds) {
   RunConfig config;
@@ -106,36 +121,42 @@ void CheckOverlapInvariance(Algorithm algorithm, const std::string& adversary,
   config.threads = 1;
   config.prefetch_topology = false;
   config.async_certification = false;
-  config.fused_send_deliver = false;
   const RunResult reference = RunAlgorithm(algorithm, config);
   EXPECT_TRUE(reference.stats.tinterval_validated);
   EXPECT_TRUE(reference.stats.tinterval_ok);
 
-  // {prefetch_topology, async_certification, fused_send_deliver}.
-  constexpr bool kRows[4][3] = {{true, false, false},
-                                {false, true, false},
-                                {false, false, true},
-                                {true, true, true}};
+  // {prefetch_topology, async_certification}.
+  constexpr bool kRows[4][2] = {
+      {false, false}, {true, false}, {false, true}, {true, true}};
   for (const auto& row : kRows) {
     for (const int threads : {1, 2, 0}) {
-      config.prefetch_topology = row[0];
-      config.async_certification = row[1];
-      config.fused_send_deliver = row[2];
-      config.threads = threads;
-      SCOPED_TRACE(std::string(ToString(algorithm)) + " on " + adversary +
-                   " prefetch=" + std::to_string(row[0]) +
-                   " async_cert=" + std::to_string(row[1]) +
-                   " fused=" + std::to_string(row[2]) +
-                   " threads=" + std::to_string(threads));
-      const RunResult run = RunAlgorithm(algorithm, config);
-      ExpectIdenticalRuns(reference, run);
-      EXPECT_EQ(reference.stats.tinterval_validated,
-                run.stats.tinterval_validated);
-      EXPECT_EQ(reference.stats.tinterval_ok, run.stats.tinterval_ok);
-      EXPECT_EQ(reference.stats.certified_T, run.stats.certified_T);
-      EXPECT_EQ(reference.stats.min_stable_forest, run.stats.min_stable_forest);
-      EXPECT_EQ(reference.stats.tinterval_first_bad_window,
-                run.stats.tinterval_first_bad_window);
+      for (const bool recorded : {false, true}) {
+        // The all-off serial unrecorded run is the reference itself.
+        if (!row[0] && !row[1] && threads == 1 && !recorded) continue;
+        obs::FlightRecorder recorder;
+        config.prefetch_topology = row[0];
+        config.async_certification = row[1];
+        config.threads = threads;
+        config.recorder = recorded ? &recorder : nullptr;
+        SCOPED_TRACE(std::string(ToString(algorithm)) + " on " + adversary +
+                     " prefetch=" + std::to_string(row[0]) +
+                     " async_cert=" + std::to_string(row[1]) +
+                     " threads=" + std::to_string(threads) +
+                     " recorder=" + std::to_string(recorded));
+        const RunResult run = RunAlgorithm(algorithm, config);
+        config.recorder = nullptr;
+        ExpectIdenticalRuns(reference, run);
+        EXPECT_EQ(reference.stats.checker_path, run.stats.checker_path);
+        EXPECT_EQ(reference.stats.tinterval_validated,
+                  run.stats.tinterval_validated);
+        EXPECT_EQ(reference.stats.tinterval_ok, run.stats.tinterval_ok);
+        EXPECT_EQ(reference.stats.certified_T, run.stats.certified_T);
+        EXPECT_EQ(reference.stats.min_stable_forest,
+                  run.stats.min_stable_forest);
+        EXPECT_EQ(reference.stats.tinterval_first_bad_window,
+                  run.stats.tinterval_first_bad_window);
+        ExpectSameMemory(reference.stats, run.stats);
+      }
     }
   }
 }
@@ -171,16 +192,16 @@ TEST(Determinism, KloCommitteeOnAdaptiveAdversary) {
 
 // Overlap matrix, oblivious arm: spine-gnp claims compositions, so the
 // async-certification rows here push composition claims (+ owned edge
-// copies) through the certification lane, and prefetch + fusion both
-// engage at threads > 1.
+// copies) through the certification lane, and prefetch engages at
+// threads > 1.
 TEST(Determinism, OverlapTogglesOnObliviousSpine) {
   CheckOverlapInvariance(Algorithm::kHjswyCensus, "spine-gnp", 100'000);
 }
 
-// Overlap matrix, adaptive arm: prefetch and fusion are gated off by the
-// engine (the adversary samples PublicState between rounds), so these rows
-// pin that the toggles are safe no-ops there while the async checker still
-// consumes per-round deltas off the critical path.
+// Overlap matrix, adaptive arm: prefetch is gated off by the engine (the
+// adversary samples PublicState between rounds), so these rows pin that
+// the toggle is a safe no-op there while the async checker still consumes
+// per-round deltas off the critical path.
 TEST(Determinism, OverlapTogglesOnAdaptiveAdversary) {
   CheckOverlapInvariance(Algorithm::kKloCensusT, "adaptive-desc", 3'000);
 }
@@ -245,7 +266,6 @@ TEST(Determinism, OverlapTogglesOnStreamingTrace) {
     opts.max_rounds = 40;  // stays inside the recorded trace
     opts.prefetch_topology = overlaps;
     opts.async_certification = overlaps;
-    opts.fused_send_deliver = overlaps;
     net::Engine<algo::HjswyProgram> engine(std::move(nodes), streaming, opts);
     return engine.Run();
   };
@@ -286,13 +306,12 @@ TEST(Determinism, TracingOnOrOffIsInvisibleToRunStats) {
   config.T = 2;
   config.seed = 12345;
   config.adversary.kind = "spine-gnp";
-  config.validate_tinterval = false;
   config.collect_metrics = true;
 
   config.threads = 1;
   const RunResult untraced = RunAlgorithm(Algorithm::kHjswyCensus, config);
 
-  for (const int threads : {1, 0}) {
+  for (const int threads : {1, 2, 0}) {
     obs::FlightRecorder recorder;
     config.threads = threads;
     config.recorder = &recorder;
@@ -300,6 +319,9 @@ TEST(Determinism, TracingOnOrOffIsInvisibleToRunStats) {
     config.recorder = nullptr;
     SCOPED_TRACE("threads=" + std::to_string(threads));
     ExpectIdenticalRuns(untraced, traced);
+    EXPECT_EQ(untraced.stats.checker_path, traced.stats.checker_path);
+    EXPECT_EQ(untraced.stats.certified_T, traced.stats.certified_T);
+    ExpectSameMemory(untraced.stats, traced.stats);
     EXPECT_GT(recorder.total_emitted(), 0u);
     EXPECT_EQ(untraced.stats.metrics.Deterministic(),
               traced.stats.metrics.Deterministic());
@@ -345,9 +367,12 @@ TEST(Determinism, AnomalyPlaneOnOrOffIsInvisibleToRunStats) {
 // fault injected through the env test hook must produce exactly one
 // AnomalyRecord (a round-time spike at the faulted round) and, with a
 // recorder attached, a flight-recorder dump whose retained window contains
-// the faulted round. The stall is sized from a dry run of the same config —
-// 16x its slowest round, at least 50 ms — so it clears the 8x rolling-p99
-// spike rule however slow the build runs rounds (sanitizers included).
+// the faulted round. The run is stepped through the Simulation facade; the
+// engine reads the stall length only when round 12's deliver window opens,
+// so the stall is sized from the run's own rolling p99 after round 11 —
+// 16x it, at least 50 ms — and clears the 8x rolling-p99 spike rule
+// however slow the build (sanitizers) or the box (outside load) runs
+// rounds.
 TEST(Determinism, InjectedFaultFiresExactlyOneAnomalyWithDump) {
   const std::string dir = ::testing::TempDir();
   RunConfig config;
@@ -363,31 +388,28 @@ TEST(Determinism, InjectedFaultFiresExactlyOneAnomalyWithDump) {
   config.anomaly_options.memory_jump_floor_bytes = std::int64_t{1} << 60;
   config.anomaly_options.dump_dir = dir;
   config.threads = 1;
-
-  std::int64_t slowest_round_ns = 0;
-  {
-    obs::FlightRecorder dry_recorder;
-    config.recorder = &dry_recorder;
-    config.anomaly = false;
-    const RunResult dry = RunAlgorithm(Algorithm::kHjswyCensus, config);
-    const obs::MetricSample* total = dry.stats.metrics.Find("round_total_ns");
-    ASSERT_NE(total, nullptr);
-    slowest_round_ns = total->max;
-  }
-  const std::int64_t stall_ms =
-      std::max<std::int64_t>(50, (16 * slowest_round_ns + 999'999) / 1'000'000);
-  std::printf("dry run: slowest round %.3f ms, injected stall %lld ms\n",
-              static_cast<double>(slowest_round_ns) / 1e6,
-              static_cast<long long>(stall_ms));
-
-  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_SLEEP_MS",
-                   std::to_string(stall_ms).c_str(), 1),
-            0);
-  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_ROUND", "12", 1), 0);
   obs::FlightRecorder recorder;  // default ring: no wrap at this n
   config.recorder = &recorder;
   config.anomaly = true;
-  const RunResult result = RunAlgorithm(Algorithm::kHjswyCensus, config);
+
+  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_ROUND", "12", 1), 0);
+  Simulation sim(Algorithm::kHjswyCensus, config);
+  while (sim.Round() < 11 && sim.Step()) {
+  }
+  ASSERT_EQ(sim.Round(), 11);
+  const obs::MetricSample* p99 =
+      sim.Stats().metrics.Find("rolling_total_ns_p99");
+  ASSERT_NE(p99, nullptr);
+  const std::int64_t stall_ms = std::max<std::int64_t>(
+      50, (16 * p99->value + 999'999) / 1'000'000);
+  std::printf("rolling p99 after round 11: %.3f ms, injected stall %lld ms\n",
+              static_cast<double>(p99->value) / 1e6,
+              static_cast<long long>(stall_ms));
+  ASSERT_EQ(setenv("SDN_FAULT_DELIVER_SLEEP_MS",
+                   std::to_string(stall_ms).c_str(), 1),
+            0);
+  sim.RunToCompletion();
+  const RunResult result = sim.Finish();
 
   ASSERT_EQ(unsetenv("SDN_FAULT_DELIVER_SLEEP_MS"), 0);
   ASSERT_EQ(unsetenv("SDN_FAULT_DELIVER_ROUND"), 0);

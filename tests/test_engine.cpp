@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <filesystem>
 #include <optional>
 #include <span>
@@ -596,22 +597,19 @@ TEST(Engine, RunTwiceRejected) {
 }
 
 /// Runs one program per node, built by `make(u)`, on Cycle(200) — 3
-/// shards, so threads = 2 genuinely takes the pool path — at threads 1/2
-/// with fused send/deliver off and on. Fused staging hands every program a
-/// trailing speculative OnSendInto after its last OnReceive; every stat
-/// except wall-clock timings, and every output, must match the serial
-/// unfused run.
+/// shards, so threads = 2 genuinely takes the pool path — at threads 1, 2
+/// and hardware. Every stat except wall-clock timings, and every output,
+/// must match the serial run.
 template <typename Make>
-void CheckThreadAndFusedInvariance(Make make) {
+void CheckThreadInvariance(Make make) {
   using Node = decltype(make(graph::NodeId{0}));
   const graph::NodeId n = 200;
-  const auto run = [&](int threads, bool fused) {
+  const auto run = [&](int threads) {
     StaticAdversary adv(graph::Cycle(n));
     std::vector<Node> nodes;
     for (graph::NodeId u = 0; u < n; ++u) nodes.push_back(make(u));
     EngineOptions opts;
     opts.threads = threads;
-    opts.fused_send_deliver = fused;
     Engine<Node> engine(std::move(nodes), adv, opts);
     const RunStats stats = engine.Run();
     std::vector<std::optional<typename Node::Output>> outputs;
@@ -620,36 +618,107 @@ void CheckThreadAndFusedInvariance(Make make) {
     }
     return std::pair(stats, outputs);
   };
-  const auto [serial, serial_out] = run(1, false);
-  for (const int threads : {1, 2}) {
-    for (const bool fused : {false, true}) {
-      if (threads == 1 && !fused) continue;  // that is the reference
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " fused=" + std::to_string(fused));
-      const auto [stats, out] = run(threads, fused);
-      EXPECT_EQ(serial_out, out);
-      EXPECT_EQ(serial.rounds, stats.rounds);
-      EXPECT_EQ(serial.messages_sent, stats.messages_sent);
-      EXPECT_EQ(serial.messages_delivered, stats.messages_delivered);
-      EXPECT_EQ(serial.total_message_bits, stats.total_message_bits);
-      EXPECT_EQ(serial.max_message_bits, stats.max_message_bits);
-      EXPECT_EQ(serial.decide_round, stats.decide_round);
-      EXPECT_EQ(serial.sends_per_node, stats.sends_per_node);
-      EXPECT_EQ(serial.flooding.probes, stats.flooding.probes);
-      EXPECT_EQ(serial.flooding.max_rounds, stats.flooding.max_rounds);
-    }
+  const auto [serial, serial_out] = run(1);
+  for (const int threads : {2, 0}) {
+    SCOPED_TRACE("threads=" + std::to_string(threads));
+    const auto [stats, out] = run(threads);
+    EXPECT_EQ(serial_out, out);
+    EXPECT_EQ(serial.rounds, stats.rounds);
+    EXPECT_EQ(serial.messages_sent, stats.messages_sent);
+    EXPECT_EQ(serial.messages_delivered, stats.messages_delivered);
+    EXPECT_EQ(serial.total_message_bits, stats.total_message_bits);
+    EXPECT_EQ(serial.max_message_bits, stats.max_message_bits);
+    EXPECT_EQ(serial.decide_round, stats.decide_round);
+    EXPECT_EQ(serial.sends_per_node, stats.sends_per_node);
+    EXPECT_EQ(serial.flooding.probes, stats.flooding.probes);
+    EXPECT_EQ(serial.flooding.max_rounds, stats.flooding.max_rounds);
   }
 }
 
-TEST(Engine, ThreadsAndFusedStagingLeaveRunsUnchanged) {
-  CheckThreadAndFusedInvariance(
+TEST(Engine, ThreadsLeaveRunsUnchanged) {
+  CheckThreadInvariance(
       [](graph::NodeId u) { return InboxCounter(25, u % 7 == 3); });
-  CheckThreadAndFusedInvariance(
-      [](graph::NodeId u) { return CopySpy(u, 25, true); });
-  CheckThreadAndFusedInvariance(
+  CheckThreadInvariance([](graph::NodeId u) { return CopySpy(u, 25, true); });
+  CheckThreadInvariance(
       [](graph::NodeId u) { return AliasProbe(u, 25, u % 2 == 0); });
-  CheckThreadAndFusedInvariance(
-      [](graph::NodeId u) { return Alternator(u, 25); });
+  CheckThreadInvariance([](graph::NodeId u) { return Alternator(u, 25); });
+}
+
+/// Counts its OnSendInto calls and checks the per-node call order: round
+/// r's send follows round r-1's receive and precedes round r's receive.
+class SendCounter {
+ public:
+  struct Message {
+    std::int32_t payload = 0;
+  };
+  using Output = std::int64_t;
+
+  explicit SendCounter(Round decide_after) : decide_after_(decide_after) {}
+
+  bool OnSendInto(Round r, Message& m) {
+    ++sends_;
+    in_order_ = in_order_ && r == last_send_ + 1 && r == last_receive_ + 1;
+    last_send_ = r;
+    m.payload = 1;
+    return true;
+  }
+  void OnReceive(Round r, Inbox<Message>) {
+    in_order_ = in_order_ && r == last_send_;
+    last_receive_ = r;
+  }
+  [[nodiscard]] bool HasDecided() const {
+    return last_receive_ >= decide_after_;
+  }
+  [[nodiscard]] std::optional<Output> output() const {
+    if (!HasDecided()) return std::nullopt;
+    return sends_;
+  }
+  [[nodiscard]] double PublicState() const { return 0.0; }
+  static std::size_t MessageBits(const Message&) { return 32; }
+
+  [[nodiscard]] std::int64_t sends() const { return sends_; }
+  [[nodiscard]] Round last_send() const { return last_send_; }
+  [[nodiscard]] bool in_order() const { return in_order_; }
+
+ private:
+  Round decide_after_;
+  std::int64_t sends_ = 0;
+  Round last_send_ = 0;
+  Round last_receive_ = 0;
+  bool in_order_ = true;
+};
+
+TEST(Engine, SendsOncePerExecutedRoundAndNeverPastTheEnd) {
+  // Every node composes exactly one message per executed round, and none
+  // for round rounds+1 — whether the run ends by decision or at
+  // max_rounds, on an oblivious adversary, at any thread count.
+  adversary::AdversaryConfig config;
+  config.kind = "spine-gnp";
+  config.n = 192;
+  config.T = 2;
+  config.seed = 21;
+  for (const int threads : {1, 2, 0}) {
+    for (const std::int64_t max_rounds : {std::int64_t{1000}, std::int64_t{15}}) {
+      SCOPED_TRACE("threads=" + std::to_string(threads) +
+                   " max_rounds=" + std::to_string(max_rounds));
+      const auto adv = adversary::MakeAdversary(config);
+      std::vector<SendCounter> nodes(192, SendCounter(20));
+      EngineOptions opts;
+      opts.threads = threads;
+      opts.max_rounds = max_rounds;
+      Engine<SendCounter> engine(std::move(nodes), *adv, opts);
+      const RunStats stats = engine.Run();
+      EXPECT_EQ(stats.rounds, std::min<std::int64_t>(20, max_rounds));
+      for (graph::NodeId u = 0; u < 192; ++u) {
+        const SendCounter& node = engine.node(u);
+        ASSERT_EQ(node.sends(), stats.rounds) << "node " << u;
+        ASSERT_EQ(node.last_send(), stats.rounds) << "node " << u;
+        ASSERT_TRUE(node.in_order()) << "node " << u;
+        ASSERT_EQ(stats.sends_per_node[static_cast<std::size_t>(u)],
+                  stats.rounds);
+      }
+    }
+  }
 }
 
 TEST(Engine, WrongSizeAdversaryRejected) {
@@ -737,44 +806,60 @@ TEST(Engine, CertifiedTAndFirstBadWindowRecorded) {
 }
 
 TEST(Engine, ReportsWhichCheckerPathRanAndWhy) {
-  // A composition-publishing adversary certifies on the witness path until
-  // a flight recorder is attached; the recorder reads the general path's
-  // per-round deltas, and RunStats, OneLine and the OpenMetrics info
-  // series all say so.
+  // The checker path is a function of the adversary alone: a
+  // composition-publishing adversary certifies on the witness path with or
+  // without a flight recorder or a trace recorder attached, and RunStats,
+  // OneLine and the OpenMetrics info series all say so.
   adversary::AdversaryConfig config;
   config.kind = "spine-gnp";
   config.n = 32;
   config.T = 2;
   config.seed = 5;
-  const auto run = [&](obs::FlightRecorder* rec, bool validate) {
+  const auto run = [&](obs::FlightRecorder* rec, TraceRecorder* trace,
+                       bool validate) {
     const auto adv = adversary::MakeAdversary(config);
     std::vector<InboxCounter> nodes(32, InboxCounter(8));
     EngineOptions opts;
     opts.recorder = rec;
+    opts.record_trace = trace;
     opts.validate_tinterval = validate;
     Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
     return engine.Run();
   };
-  const RunStats plain = run(nullptr, true);
+  const RunStats plain = run(nullptr, nullptr, true);
   EXPECT_EQ(plain.checker_path, CheckerPath::kComposition);
   EXPECT_EQ(plain.checker_path_reason, "adversary publishes a composition");
 
   obs::FlightRecorder rec;
-  const RunStats traced = run(&rec, true);
-  EXPECT_EQ(traced.checker_path, CheckerPath::kGeneral);
-  EXPECT_EQ(traced.checker_path_reason, "recorder attached");
+  const RunStats traced = run(&rec, nullptr, true);
+  EXPECT_EQ(traced.checker_path, CheckerPath::kComposition);
+  EXPECT_EQ(traced.checker_path_reason, "adversary publishes a composition");
   EXPECT_EQ(traced.certified_T, plain.certified_T);
-  EXPECT_NE(traced.OneLine().find("checker=general(recorder attached)"),
-            std::string::npos)
+  EXPECT_NE(
+      traced.OneLine().find(
+          "checker=composition(adversary publishes a composition)"),
+      std::string::npos)
       << traced.OneLine();
   const obs::InfoSeries info[] = {traced.CheckerInfo()};
   EXPECT_NE(obs::RenderOpenMetrics({}, {}, {}, info)
                 .find("# TYPE sdn_checker info\n"
-                      "sdn_checker_info{path=\"general\","
-                      "reason=\"recorder attached\"} 1\n"),
+                      "sdn_checker_info{path=\"composition\","
+                      "reason=\"adversary publishes a composition\"} 1\n"),
             std::string::npos);
 
-  const RunStats off = run(nullptr, false);
+  const std::string path = (std::filesystem::temp_directory_path() /
+                            "sdn_test_engine_checker_path.trace")
+                               .string();
+  {
+    TraceRecorder trace(path, 32, 2, /*keyframe_every=*/8);
+    const RunStats recorded = run(nullptr, &trace, true);
+    trace.Close();
+    EXPECT_EQ(recorded.checker_path, CheckerPath::kComposition);
+    EXPECT_EQ(recorded.certified_T, plain.certified_T);
+  }
+  std::filesystem::remove(path);
+
+  const RunStats off = run(nullptr, nullptr, false);
   EXPECT_EQ(off.checker_path, CheckerPath::kOff);
   EXPECT_EQ(off.checker_path_reason, "validation disabled");
 
@@ -901,6 +986,75 @@ TEST(Engine, CompositionPathMatchesDeltaCheckerOracle) {
     }
   }
   EXPECT_GT(checked_kinds, 0);
+}
+
+TEST(Engine, RecorderKeepsTheEnginePath) {
+  // Observation never steers the engine: with a flight recorder attached,
+  // a spine-gnp run at threads = 2 still certifies on the composition path
+  // on the async certification lane (aux_validate_ns > 0), exactly like the
+  // unrecorded run, and the recorder's checker track carries the witness
+  // path's state (stable edge count -1, certified T) stamped with the
+  // certified round.
+  adversary::AdversaryConfig config;
+  config.kind = "spine-gnp";
+  config.n = 64;
+  config.T = 2;
+  config.seed = 8;
+  const auto run = [&](obs::FlightRecorder* rec) {
+    const auto adv = adversary::MakeAdversary(config);
+    std::vector<InboxCounter> nodes(64, InboxCounter(30));
+    EngineOptions opts;
+    opts.threads = 2;
+    opts.recorder = rec;
+    Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
+    return engine.Run();
+  };
+  const RunStats plain = run(nullptr);
+  obs::FlightRecorder rec;
+  const RunStats traced = run(&rec);
+  for (const RunStats* s : {&plain, &traced}) {
+    EXPECT_EQ(s->checker_path, CheckerPath::kComposition);
+    EXPECT_GT(s->timings.aux_validate_ns, 0);
+    EXPECT_EQ(s->certified_T, 2);
+  }
+  EXPECT_EQ(plain.messages_delivered, traced.messages_delivered);
+  int windows = 0;
+  for (const obs::Event& e : rec.Drain()) {
+    if (e.kind != obs::EventKind::kCheckerWindow) continue;
+    ++windows;
+    EXPECT_EQ(e.a, -1);  // no materialized intersection on the witness path
+    EXPECT_EQ(e.b, 1);
+    EXPECT_EQ(e.c, 2);
+    EXPECT_GE(e.round, 1);
+    EXPECT_LE(e.round, traced.rounds);
+  }
+  EXPECT_GE(windows, 1);
+}
+
+TEST(Engine, CertRegressionFiresUnderAsyncCertification) {
+  // The anomaly plane reads the certification lane's published sample, so
+  // a T-violating adversary trips kCertRegression with certification off
+  // the critical path too. The lane trails the round loop by at most its
+  // queue depth, so a 40-round run is long enough for the sample of the
+  // first bad window to reach an Observe.
+  FlickerAdversary adv;
+  std::vector<InboxCounter> nodes(4, InboxCounter(40));
+  EngineOptions opts;
+  opts.threads = 2;
+  opts.async_certification = true;
+  opts.collect_metrics = true;
+  opts.anomaly = true;
+  Engine<InboxCounter> engine(std::move(nodes), adv, opts);
+  const RunStats stats = engine.Run();
+  EXPECT_GT(stats.timings.aux_validate_ns, 0);  // the lane certified
+  EXPECT_FALSE(stats.tinterval_ok);
+  EXPECT_EQ(stats.certified_T, 1);
+  const bool fired = std::any_of(
+      stats.anomalies.begin(), stats.anomalies.end(),
+      [](const obs::AnomalyRecord& r) {
+        return r.rule == obs::AnomalyRule::kCertRegression;
+      });
+  EXPECT_TRUE(fired);
 }
 
 }  // namespace

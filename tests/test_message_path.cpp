@@ -77,8 +77,7 @@ bool SendsIn(graph::NodeId id, net::Round r) {
 }
 
 /// Records the sender ids of its last inbox and the backing the engine
-/// chose. Under an oblivious adversary the fused send/deliver staging path
-/// is exercised too.
+/// chose.
 struct InboxRecorder {
   struct Message {
     graph::NodeId sender = -1;
@@ -167,7 +166,7 @@ void CheckInboxOracle(const std::string& adversary, int threads) {
   EXPECT_LT(all_sent_rounds, rounds);
 }
 
-// Oblivious: prefetch and fused send/deliver engage at threads != 1.
+// Oblivious: topology prefetch engages at threads != 1.
 TEST(InboxOracle, ObliviousSpineEveryThreadCount) {
   for (const int threads : {1, 2, 0}) CheckInboxOracle("spine-gnp", threads);
 }

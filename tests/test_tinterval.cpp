@@ -16,8 +16,10 @@
 #include <utility>
 #include <vector>
 
+#include "adversary/factory.hpp"
 #include "graph/delta.hpp"
 #include "graph/generators.hpp"
+#include "net/adversary.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -421,6 +423,76 @@ TEST(TIntervalChecker, SpineCachePinsPublishedBuffer) {
   again.core_id = 7;
   again.core_owner = pinned;
   EXPECT_TRUE(checker.PushComposition(again, round));
+}
+
+TEST(TIntervalChecker, SpineCacheRetainsOnlyRingSpines) {
+  // The witness path keeps a spine's shared owner only while the last-T
+  // ring still references its id. Twelve spine-gnp eras are pushed; each
+  // claimed spine is copied into a buffer this test owns (so the
+  // adversary's own era cache keeps nothing alive), and the test holds it
+  // only for the round that claims it. After every push, a spine is alive
+  // exactly when its id appears in one of the last T rounds' claims.
+  constexpr NodeId n = 64;
+  constexpr int T = 2;
+  adversary::AdversaryConfig config;
+  config.kind = "spine-gnp";
+  config.n = n;
+  config.T = T;
+  config.seed = 3;
+  const auto adv = adversary::MakeAdversary(config);
+  ASSERT_TRUE(adv->has_composition());
+  class ZeroView final : public net::AdversaryView {
+   public:
+    [[nodiscard]] std::int64_t round() const override { return 1; }
+    [[nodiscard]] double PublicState(NodeId) const override { return 0; }
+    [[nodiscard]] NodeId num_nodes() const override { return n; }
+  } view;
+
+  using Owner = std::shared_ptr<const std::vector<Edge>>;
+  std::map<std::uint64_t, std::weak_ptr<const std::vector<Edge>>> seen;
+  const auto own = [&seen](std::uint64_t id, std::span<const Edge> edges) {
+    if (const auto it = seen.find(id); it != seen.end()) {
+      if (Owner held = it->second.lock()) return held;
+    }
+    auto copy = std::make_shared<const std::vector<Edge>>(edges.begin(),
+                                                          edges.end());
+    seen[id] = copy;
+    return Owner(copy);
+  };
+  TIntervalChecker checker(n, T);
+  DynGraph dyn(n);
+  TopologyDelta delta;
+  std::vector<std::array<std::uint64_t, 2>> claimed;  // ids per round
+  constexpr std::int64_t kRounds = 12 * T;
+  for (std::int64_t r = 1; r <= kRounds; ++r) {
+    adv->DeltaFor(r, view, dyn.View(), delta);
+    dyn.Apply(delta);
+    {
+      const RoundComposition* c = adv->Composition(r);
+      ASSERT_NE(c, nullptr);
+      RoundComposition comp = *c;
+      comp.core_owner = own(c->core_id, c->core);
+      comp.core = *comp.core_owner;
+      if (!c->support.empty()) {
+        comp.support_owner = own(c->support_id, c->support);
+        comp.support = *comp.support_owner;
+      }
+      claimed.push_back({comp.core_id, c->support.empty()
+                                           ? RoundComposition::kNoId
+                                           : comp.support_id});
+      EXPECT_TRUE(checker.PushComposition(comp, dyn.View()));
+    }  // the test's references to this round's spines end here
+    for (const auto& [id, weak] : seen) {
+      bool in_ring = false;
+      for (std::int64_t s = std::max<std::int64_t>(1, r - T + 1); s <= r;
+           ++s) {
+        const auto& ids = claimed[static_cast<std::size_t>(s - 1)];
+        in_ring = in_ring || ids[0] == id || ids[1] == id;
+      }
+      EXPECT_EQ(!weak.expired(), in_ring) << "spine " << id << " round " << r;
+    }
+  }
+  EXPECT_GE(seen.size(), 6u);  // at least six eras went through
 }
 
 /// Named randomized test (the MathGeoLib AddRandomizedTest idiom): the seed

@@ -8,6 +8,8 @@
 // layer, prints the per-phase breakdown, and writes it as machine-readable
 // BENCH_engine.json next to the cwd — with the recorded pre-zero-copy
 // baseline so the speedup is tracked run over run (docs/PERF.md).
+// --note=<text> stamps a description of the machine (say, "4-vCPU shared
+// container") into the file's manifest.
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
@@ -286,7 +288,6 @@ class NoCompositionAdversary final : public net::Adversary {
                       std::vector<graph::Edge>& out) override {
     return inner_.RoundEdgesInto(round, view, out);
   }
-  [[nodiscard]] bool oblivious() const override { return inner_.oblivious(); }
   void SetShardRunner(const util::ShardRunner& run) override {
     inner_.SetShardRunner(run);
   }
@@ -303,17 +304,16 @@ class NoCompositionAdversary final : public net::Adversary {
 /// probes off; T-interval validation ON by default (the recorded figures
 /// are certified runs — the certification A/B below measures what that
 /// costs). `threads` is EngineOptions::threads (1 = serial reference;
-/// results are bit-identical at every setting). `overlaps` drives both
-/// pipelining toggles (prefetch_topology, async_certification) as one
-/// switch for the pipeline A/B; results are bit-identical either way (the
-/// determinism suite pins it). `collect_metrics`/`anomaly` drive the
+/// results are bit-identical at every setting). `async_cert` drives the
+/// one pipelining toggle (async_certification) for the pipeline A/B;
+/// results are bit-identical either way (the determinism suite pins it). `collect_metrics`/`anomaly` drive the
 /// observability plane for the anomaly A/B (both arms carry the registry;
 /// only the anomaly engine differs) — bit-identical again, same pin.
 /// `general_checker` hides the adversary's composition
 /// (NoCompositionAdversary), so certification runs the general checker.
 net::RunStats TimedReferenceRun(
     int threads, obs::FlightRecorder* recorder = nullptr, bool validate = true,
-    bool overlaps = true, bool collect_metrics = false, bool anomaly = false,
+    bool async_cert = true, bool collect_metrics = false, bool anomaly = false,
     const obs::AnomalyOptions* anomaly_options = nullptr,
     bool general_checker = false) {
   const graph::NodeId n = 1024;
@@ -343,8 +343,7 @@ net::RunStats TimedReferenceRun(
   opts.flood_probes = 0;
   opts.threads = threads;
   opts.recorder = recorder;
-  opts.prefetch_topology = overlaps;
-  opts.async_certification = overlaps;
+  opts.async_certification = async_cert;
   opts.collect_metrics = collect_metrics;
   opts.anomaly = anomaly;
   if (anomaly_options != nullptr) opts.anomaly_options = *anomaly_options;
@@ -379,11 +378,6 @@ RepSet MeasuredRuns(int threads, int reps = 3) {
                        ? rps_all[mid]
                        : 0.5 * (rps_all[mid - 1] + rps_all[mid]);
   return out;
-}
-
-/// Best-of-`reps` by rounds/sec at a fixed thread count.
-net::RunStats BestRun(int threads, int reps = 3) {
-  return MeasuredRuns(threads, reps).best;
 }
 
 using StatFn = std::function<std::int64_t(const net::RunStats&)>;
@@ -430,7 +424,9 @@ ABResult PairedAB(const std::function<net::RunStats()>& run_a,
   return out;
 }
 
-void ReportEngineTimings() {
+/// `note` (from --note=) describes the machine the figures were taken on;
+/// it is stamped into BENCH_engine.json's manifest when non-empty.
+void ReportEngineTimings(const std::string& note) {
   // Single-thread reference: the workload + fields PR 1 recorded, so the
   // serial-engine trend line stays comparable run over run.
   const RepSet reference = MeasuredRuns(/*threads=*/1);
@@ -468,7 +464,7 @@ void ReportEngineTimings() {
   for (int rep = 0; rep < 3; ++rep) {
     auto rec = std::make_unique<obs::FlightRecorder>();
     const net::RunStats s = TimedReferenceRun(
-        /*threads=*/1, rec.get(), /*validate=*/true, /*overlaps=*/true,
+        /*threads=*/1, rec.get(), /*validate=*/true, /*async_cert=*/true,
         /*collect_metrics=*/false, /*anomaly=*/false,
         /*anomaly_options=*/nullptr, /*general_checker=*/true);
     SDN_CHECK_MSG(s.checker_path == net::CheckerPath::kGeneral,
@@ -565,6 +561,7 @@ void ReportEngineTimings() {
   manifest.Set("experiment", "a9_micro");
   manifest.Set("workload", "hjswy n=1024 spine-gnp T=2 seed=42");
   manifest.Set("reps", 3);
+  if (!note.empty()) manifest.Set("note", note);
   if (traced_rec->WriteChromeTrace("reference_trace.json", &manifest) &&
       traced_rec->WriteJsonl("reference_trace.jsonl", &manifest) &&
       manifest.WriteJson("reference_manifest.json")) {
@@ -577,40 +574,51 @@ void ReportEngineTimings() {
     std::fprintf(stderr, "reference trace artifacts: cannot write\n");
   }
 
-  // Threads sweep: same workload at growing EngineOptions::threads. The
-  // serial row is re-measured (not reused) so every row saw the same
-  // machine state; speedups are vs this process's own serial row. Counts
-  // above the machine's concurrency are skipped (they would only measure
+  // Threads sweep: same workload at growing EngineOptions::threads. Each
+  // parallel row is an interleaved PairedAB against the serial engine
+  // (kSweepReps pairs, medians of total_ns), so both arms sample the same
+  // machine state and the speedup is a within-run paired figure; the
+  // serial row is the serial arm of the threads=2 pair. Counts above the
+  // machine's concurrency are skipped (they would only measure
   // oversubscription noise) — except 2, kept as the minimal parallel
   // datapoint — and recorded as skipped in BENCH_engine.json. A measured
   // row that still exceeds the machine's concurrency (threads=2 on a
   // single-core box) is marked oversubscribed: its speedup figure measures
   // scheduler interleaving, not parallel scaling, and must not be read as
   // a scaling datapoint.
+  constexpr int kSweepReps = 5;
   struct SweepRow {
     int threads = 0;
-    net::RunStats stats;
+    net::RunStats serial;  // median rep of the paired serial arm
+    net::RunStats stats;   // median rep at `threads`
+    double speedup = 1.0;  // serial / parallel total_ns, paired medians
     bool oversubscribed = false;
   };
   std::vector<SweepRow> sweep;
   std::vector<int> skipped;
   const auto hw = static_cast<int>(std::thread::hardware_concurrency());
-  std::printf("threads sweep (same workload; hardware_concurrency=%d):\n", hw);
-  for (const int threads : {1, 2, 4, 8}) {
+  std::printf(
+      "threads sweep (same workload, paired medians of %d vs serial; "
+      "hardware_concurrency=%d):\n",
+      kSweepReps, hw);
+  for (const int threads : {2, 4, 8}) {
     if (threads > hw && threads != 2) {
       skipped.push_back(threads);
       std::printf("  threads=%d  skipped (> hardware_concurrency)\n", threads);
       continue;
     }
-    sweep.push_back({threads, BestRun(threads), threads > hw});
-    const net::RunStats& s = sweep.back().stats;
-    const net::RunStats& serial = sweep.front().stats;
+    const ABResult ab = PairedAB(
+        [] { return TimedReferenceRun(/*threads=*/1); },
+        [threads] { return TimedReferenceRun(threads); }, run_total_ns,
+        kSweepReps);
+    if (sweep.empty()) sweep.push_back({1, ab.a, ab.a, 1.0, false});
+    sweep.push_back({threads, ab.a, ab.b, ab.speedup, threads > hw});
+    const net::RunStats& s = ab.b;
+    const net::RunStats& serial = ab.a;
     std::printf(
         "  threads=%d  %.1f rounds/s  speedup=%.2fx  send=%.2fx  "
         "deliver=%.2fx%s\n",
-        threads, s.timings.RoundsPerSec(s.rounds),
-        s.timings.RoundsPerSec(s.rounds) /
-            serial.timings.RoundsPerSec(serial.rounds),
+        threads, s.timings.RoundsPerSec(s.rounds), ab.speedup,
         static_cast<double>(serial.timings.send_ns) /
             static_cast<double>(std::max<std::int64_t>(1, s.timings.send_ns)),
         static_cast<double>(serial.timings.deliver_ns) /
@@ -627,40 +635,37 @@ void ReportEngineTimings() {
         hw);
   }
 
-  // Pipeline A/B: the same workload at threads=2 with both overlaps off vs
-  // on (prefetch_topology + async_certification). threads=2 is the minimal
-  // count where prefetch and the async checker can engage, so the off arm
-  // is the barriered phase engine and the on arm is the full pipeline.
-  // Interleaved pairs, medians of total_ns — same discipline as the other
-  // A/Bs. The aux_*_ns fields of the on arm report how much topology /
-  // certification work ran concurrently with deliver (overlap won, not
-  // just moved). On a box with hardware_concurrency < 2 the figure is
-  // marked oversubscribed and must not be read as a pipelining speedup —
+  // Pipeline A/B: the same workload at threads=2 with async_certification
+  // off vs on. threads=2 is the minimal count where the async checker can
+  // engage, so the off arm is the barriered phase engine and the on arm is
+  // the full pipeline. Interleaved pairs, medians of total_ns — same
+  // discipline as the other A/Bs. The on arm's aux_validate_ns reports how
+  // much certification work ran concurrently with the round loop (overlap
+  // won, not just moved). On a box with hardware_concurrency < 2 the figure
+  // is marked oversubscribed and must not be read as a pipelining speedup —
   // the multi-core CI job is where the gate lives.
   const int pipeline_threads = 2;
   const bool pipeline_oversubscribed = pipeline_threads > hw;
   const ABResult pipe = PairedAB(
       [] {
         return TimedReferenceRun(/*threads=*/2, nullptr, /*validate=*/true,
-                                 /*overlaps=*/false);
+                                 /*async_cert=*/false);
       },
       [] {
         return TimedReferenceRun(/*threads=*/2, nullptr, /*validate=*/true,
-                                 /*overlaps=*/true);
+                                 /*async_cert=*/true);
       },
       run_total_ns);
   const std::int64_t pipeline_off_total_ns = run_total_ns(pipe.a);
   const std::int64_t pipeline_on_total_ns = run_total_ns(pipe.b);
   const double pipeline_speedup = pipe.speedup;
-  const std::int64_t pipeline_aux_topology_ns = pipe.b.timings.aux_topology_ns;
   const std::int64_t pipeline_aux_validate_ns = pipe.b.timings.aux_validate_ns;
   std::printf(
       "pipeline A/B (threads=2, paired medians): barriers total=%lld ns  "
-      "pipelined total=%lld ns  speedup=%.3fx  overlapped topology=%lld ns  "
+      "pipelined total=%lld ns  speedup=%.3fx  "
       "overlapped certification=%lld ns%s\n",
       static_cast<long long>(pipeline_off_total_ns),
       static_cast<long long>(pipeline_on_total_ns), pipeline_speedup,
-      static_cast<long long>(pipeline_aux_topology_ns),
       static_cast<long long>(pipeline_aux_validate_ns),
       pipeline_oversubscribed ? "  (oversubscribed — not a scaling figure)"
                               : "");
@@ -675,12 +680,12 @@ void ReportEngineTimings() {
   const ABResult anom = PairedAB(
       [] {
         return TimedReferenceRun(/*threads=*/1, nullptr, /*validate=*/true,
-                                 /*overlaps=*/true, /*collect_metrics=*/true,
+                                 /*async_cert=*/true, /*collect_metrics=*/true,
                                  /*anomaly=*/false);
       },
       [] {
         return TimedReferenceRun(/*threads=*/1, nullptr, /*validate=*/true,
-                                 /*overlaps=*/true, /*collect_metrics=*/true,
+                                 /*async_cert=*/true, /*collect_metrics=*/true,
                                  /*anomaly=*/true);
       },
       run_total_ns);
@@ -750,7 +755,6 @@ void ReportEngineTimings() {
                "  \"pipeline_all_off_total_ns\": %lld,\n"
                "  \"pipeline_all_on_total_ns\": %lld,\n"
                "  \"pipeline_speedup\": %.3f,\n"
-               "  \"pipeline_aux_topology_ns\": %lld,\n"
                "  \"pipeline_aux_validate_ns\": %lld,\n"
                "  \"anomaly_off_total_ns\": %lld,\n"
                "  \"anomaly_on_total_ns\": %lld,\n"
@@ -788,7 +792,6 @@ void ReportEngineTimings() {
                pipeline_threads, pipeline_oversubscribed ? "true" : "false",
                static_cast<long long>(pipeline_off_total_ns),
                static_cast<long long>(pipeline_on_total_ns), pipeline_speedup,
-               static_cast<long long>(pipeline_aux_topology_ns),
                static_cast<long long>(pipeline_aux_validate_ns),
                static_cast<long long>(anomaly_off_total_ns),
                static_cast<long long>(anomaly_on_total_ns),
@@ -797,10 +800,9 @@ void ReportEngineTimings() {
     std::fprintf(f, "%s%d", i == 0 ? "" : ", ", skipped[i]);
   }
   std::fprintf(f, "],\n  \"threads_sweep\": [\n");
-  const net::RunStats& serial = sweep.front().stats;
-  const double serial_rps = serial.timings.RoundsPerSec(serial.rounds);
   for (std::size_t i = 0; i < sweep.size(); ++i) {
     const net::RunStats& s = sweep[i].stats;
+    const net::RunStats& serial = sweep[i].serial;
     const double rps = s.timings.RoundsPerSec(s.rounds);
     std::fprintf(
         f,
@@ -809,7 +811,7 @@ void ReportEngineTimings() {
         "\"deliver_speedup\": %.2f, \"oversubscribed\": %s,\n"
         "     \"timings_ns\": {\"topology\": %lld, \"send\": %lld, "
         "\"deliver\": %lld, \"total\": %lld}}%s\n",
-        sweep[i].threads, rps, rps / serial_rps,
+        sweep[i].threads, rps, sweep[i].speedup,
         static_cast<double>(serial.timings.send_ns) /
             static_cast<double>(std::max<std::int64_t>(1, s.timings.send_ns)),
         static_cast<double>(serial.timings.deliver_ns) /
@@ -853,7 +855,7 @@ int FaultSmoke(const std::string& dump_dir) {
   // fire the drop-onset rule and break the exactly-one assertion.
   obs::FlightRecorder recorder(/*lanes=*/1, /*lane_capacity=*/1 << 20);
   const net::RunStats stats = TimedReferenceRun(
-      /*threads=*/1, &recorder, /*validate=*/true, /*overlaps=*/true,
+      /*threads=*/1, &recorder, /*validate=*/true, /*async_cert=*/true,
       /*collect_metrics=*/true, /*anomaly=*/true, &aopts);
 
   std::printf("fault smoke: %zu anomaly record(s)\n", stats.anomalies.size());
@@ -895,16 +897,23 @@ int FaultSmoke(const std::string& dump_dir) {
 int main(int argc, char** argv) {
   bool fault_smoke = false;
   std::string dump_dir = ".";
+  std::string note;
+  int kept = 1;  // --note= is ours alone: google-benchmark never sees it
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
     if (arg == "--fault-smoke") {
       fault_smoke = true;
     } else if (arg.rfind("--dump-dir=", 0) == 0) {
       dump_dir = arg.substr(sizeof("--dump-dir=") - 1);
+    } else if (arg.rfind("--note=", 0) == 0) {
+      note = arg.substr(sizeof("--note=") - 1);
+      continue;
     }
+    argv[kept++] = argv[i];
   }
+  argc = kept;
   if (fault_smoke) return sdn::FaultSmoke(dump_dir);
-  sdn::ReportEngineTimings();
+  sdn::ReportEngineTimings(note);
   benchmark::Initialize(&argc, argv);
   if (benchmark::ReportUnrecognizedArguments(argc, argv)) return 1;
   benchmark::RunSpecifiedBenchmarks();

@@ -37,14 +37,10 @@ class AdaptiveSortPathAdversary final : public net::Adversary {
   void DeltaFor(std::int64_t round, const net::AdversaryView& view,
                 const graph::Graph& prev, graph::TopologyDelta& out) override;
   /// Fastest path: the full round list straight into the caller's buffer —
-  /// no Graph build, no diff. Adaptive topologies cannot be prefetched, so
-  /// this is the one lever that shortens their critical path.
+  /// no Graph build, no diff.
   bool RoundEdgesInto(std::int64_t round, const net::AdversaryView& view,
                       std::vector<graph::Edge>& out) override;
   [[nodiscard]] std::string name() const override;
-  /// Samples PublicState at era boundaries — topology prefetch would let it
-  /// observe mid-round state, so the engine must call it synchronously.
-  [[nodiscard]] bool oblivious() const override { return false; }
 
  private:
   /// Sorted edge list of a fresh state-sorted path.

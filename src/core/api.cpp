@@ -188,7 +188,6 @@ class TypedSim final : public detail::SimBase {
     opts.validate_tinterval = config_.validate_tinterval;
     opts.fail_fast_on_tinterval = config_.fail_fast_on_tinterval;
     opts.threads = config_.threads;
-    opts.prefetch_topology = config_.prefetch_topology;
     opts.async_certification = config_.async_certification;
     opts.recorder = config_.recorder;
     opts.collect_metrics = config_.collect_metrics;

@@ -78,13 +78,11 @@ struct RunConfig {
   /// any setting; RunTrials additionally budgets this against its outer
   /// trial workers when left at 0 (auto), so sweeps don't oversubscribe.
   int threads = 0;
-  /// Pipeline overlaps (EngineOptions::{prefetch_topology,
-  /// async_certification}): compute the next round's topology / run the
-  /// T-interval checker concurrently with the round loop. Each engages only
-  /// where its preconditions hold (oblivious adversary, threads > 1, ...)
-  /// and RunStats is bit-identical on or off — off is a pure A/B knob for
-  /// the pipelining benchmarks (docs/PERF.md "Pipelining").
-  bool prefetch_topology = true;
+  /// Pipeline overlap (EngineOptions::async_certification): run the
+  /// T-interval checker on an auxiliary lane, concurrently with the round
+  /// loop. Engages only where its preconditions hold (threads > 1, no
+  /// fail-fast) and RunStats is bit-identical on or off — off is a pure A/B
+  /// knob for the pipelining benchmarks (docs/PERF.md "Pipelining").
   bool async_certification = true;
   /// Knobs for the hjswy suite (T / exact_census / strict are synced from
   /// the algorithm choice and the T above).

@@ -3,6 +3,10 @@
 // The adversary owns the topology: each round the engine asks it for G_r.
 // Oblivious adversaries ignore the view; adaptive adversaries may inspect the
 // public per-node state the running algorithm exposes (DESIGN.md §1). The
+// engine makes every call on its driving thread, at the top of the round
+// and never concurrently with the nodes' send or deliver phases, so both
+// kinds see the same call schedule and an adaptive adversary reads the
+// state the previous round left. The
 // engine independently verifies the T-interval promise with a streaming
 // checker, so a buggy adversary cannot silently invalidate an experiment.
 #pragma once
@@ -102,15 +106,6 @@ class Adversary {
     (void)round;
     return nullptr;
   }
-
-  /// True when TopologyFor never reads the view's node state (round and
-  /// num_nodes are fine): the topology sequence is a pure function of the
-  /// call sequence. The engine may then compute round r+1's topology
-  /// concurrently with round r's deliver phase (prefetch) — calls stay
-  /// strictly sequential and in round order either way, so the produced
-  /// sequence is identical; only the wall-clock overlap changes. Adaptive
-  /// adversaries (which sample PublicState mid-run) must return false.
-  [[nodiscard]] virtual bool oblivious() const { return true; }
 
   /// Lanes for the adversary's own sharded work (the round driver hands
   /// over the same pool lanes its send and deliver phases use). An

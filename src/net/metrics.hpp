@@ -22,10 +22,10 @@ namespace sdn::net {
 /// Per-run wall-clock breakdown of Engine::Step(), in nanoseconds.
 /// total_ns covers the whole step and the named phases partition it
 /// *exactly*: other_ns is the residual (shard-merge reductions, stats
-/// bookkeeping, prefetch launches, event emission — everything between the
-/// named phase windows), computed per round as total minus the named
-/// phases, so topology + validate + probe + send + deliver + other ==
-/// total always holds (the engine debug-asserts it). Collected with
+/// bookkeeping, event emission — everything between the named phase
+/// windows), computed per round as total minus the named phases, so
+/// topology + validate + probe + send + deliver + other == total always
+/// holds (the engine debug-asserts it). Collected with
 /// steady_clock reads per phase — a few tens of ns per round, negligible
 /// against the O(E) round work.
 struct EngineTimings {
@@ -37,16 +37,19 @@ struct EngineTimings {
   std::int64_t other_ns = 0;     ///< residual: merges, bookkeeping, tracing
   std::int64_t total_ns = 0;     ///< sum of all Step() wall time
 
-  /// Work executed on the auxiliary lanes, *off* the critical path (the
-  /// pipelined engine, docs/PERF.md "Pipelining"). These windows run
-  /// concurrently with the named phases above and are deliberately outside
+  /// Work executed on the auxiliary lane, *off* the critical path (the
+  /// pipelined engine, docs/PERF.md "Pipelining"). This window runs
+  /// concurrently with the named phases above and is deliberately outside
   /// the partition identity: total_ns stays the critical-path wall time,
-  /// and aux_* record how much phase work the overlap hid. When prefetch is
-  /// active, topology_ns shrinks to the join wait and the build cost moves
-  /// here; likewise validate_ns under the async certification lane. Sum of
-  /// phases = total_ns + aux_topology_ns + aux_validate_ns; overlap
+  /// and aux_validate_ns records how much checker work the async
+  /// certification lane hid (validate_ns then holds only the handoff).
+  /// Sum of phases = total_ns + aux_topology_ns + aux_validate_ns; overlap
   /// efficiency = that sum / total_ns (>= 1; 1.0 = no overlap happened).
-  std::int64_t aux_topology_ns = 0;  ///< prefetch lane: next round's build
+  /// aux_topology_ns always reads 0: topology is built on the driving
+  /// thread, inside topology_ns. The field stays because the benchmark
+  /// driver (decidebench/decide_bench.cpp) still reports it, as
+  /// net.aux_topology_s.
+  std::int64_t aux_topology_ns = 0;  ///< always 0 (no topology lane)
   std::int64_t aux_validate_ns = 0;  ///< certification lane: checker pushes
 
   [[nodiscard]] double TotalSeconds() const;

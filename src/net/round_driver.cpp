@@ -137,20 +137,11 @@ void RoundDriver::Start() {
   lanes_ = static_cast<int>(std::min<std::int64_t>(threads, shards_));
   pool_ = lanes_ > 1 ? &util::ThreadPool::Shared() : nullptr;
   adversary_.SetShardRunner(util::ShardRunner(pool_, lanes_));
-  // Prefetch runs on the persistent topology lane; only worth it at sizes
-  // where a round costs real work. Gated on threads > 1 so `threads = 1`
-  // keeps the round loop itself single-threaded. Prefetch composes with
-  // the composition fast path: the checker (or the cert lane's copy) reads
-  // the claimed spans right after the topology section, and the next
-  // round's overlapped build (which would invalidate them) only launches
-  // after the send phase — the lane drain at the top of the next round
-  // orders the accesses.
-  prefetch_enabled_ = options_.prefetch_topology && threads > 1 &&
-                      shards_ >= 2 && adversary_.oblivious();
   // Async certification excludes exactly the configuration whose round
-  // depends on the verdict: fail-fast. Snapshot() is the rendezvous for
-  // verdicts; the sinks read the round-tagged CertSample the lane
-  // publishes.
+  // depends on the verdict: fail-fast. Gated on threads > 1 so
+  // `threads = 1` keeps the round loop single-threaded. The run's end
+  // (EndRound) and Snapshot() are the rendezvous for verdicts; the sinks
+  // read the round-tagged CertSample the lane publishes.
   async_cert_ = checker_ != nullptr && options_.async_certification &&
                 !options_.fail_fast_on_tinterval && threads > 1;
 
@@ -172,45 +163,38 @@ void RoundDriver::Start() {
 const graph::Graph& RoundDriver::BeginRound() {
   aux_wait_ns_round_ = 0;
   t_[0] = Clock::now();
-  // One topology call per round, in round order — either the prefetch
-  // launched by the previous round (join before mutating round_ or topo_,
-  // both of which the in-flight call reads) or a synchronous call here.
-  // Both schedules present the adversary the identical call sequence. Per
-  // round one of two sub-paths runs, chosen by WantDirectTopology():
-  // RoundEdgesInto straight into the DynGraph's edit buffer — with one
-  // DiffSorted when a checker/trace consumes deltas — or DeltaFor + Apply
-  // (ProduceTopology). The choice only moves work between equivalent code
-  // paths; the produced graph (and every consumed delta) is identical
-  // either way.
-  RoundTopology made;
-  if (prefetch_pending_) {
-    // Join the lane task launched by the previous round (it wrote
-    // prefetch_made_/prefetch_delta_ and possibly topo_'s edit buffer);
-    // Drain rethrows any adversary error and orders its writes before our
-    // reads.
-    DrainTopoLane();
-    prefetch_pending_ = false;
-    stats_.timings.aux_topology_ns += prefetch_ns_;
-    round_ = prefetched_round_;
-    made = prefetch_made_;
-    delta_ = std::move(prefetch_delta_);
-  } else {
-    ++round_;
-    made = ProduceTopology(round_, WantDirectTopology(), delta_);
+  ++round_;
+  // One adversary call per round, in round order, on this thread. One of
+  // two sub-paths runs, chosen by WantDirectTopology(): RoundEdgesInto
+  // straight into the DynGraph's edit buffer — with one DiffSorted when a
+  // checker/trace consumes deltas — or DeltaFor + Apply, also taken when
+  // the adversary declines the direct call. The choice only moves work
+  // between equivalent code paths; the produced graph (and every consumed
+  // delta) is identical either way.
+  bool assigned = false;
+  bool has_delta = false;
+  if (WantDirectTopology()) {
+    assigned = adversary_.RoundEdgesInto(round_, view_, topo_.EditBuffer());
+    if (!assigned) topo_direct_supported_ = false;
   }
-  if (made.tried_direct && !made.assigned) topo_direct_supported_ = false;
-  if (made.assigned) {
+  if (assigned) {
+    if (need_delta_) {
+      graph::DiffSorted(topo_.View().Edges(), topo_.EditBuffer(), delta_);
+      has_delta = true;
+    }
     topo_.CommitEdges();
     ++topo_direct_rounds_;
   } else {
+    adversary_.DeltaFor(round_, view_, topo_.View(), delta_);
+    has_delta = true;
     topo_.Apply(delta_);  // CheckError on a contract-violating delta
     ++topo_delta_rounds_;
   }
   // Whatever sub-path ran, every delta consumer must have a delta for
   // every round — a past regression had this gate silently starving
   // consumers when the fast path was picked.
-  SDN_CHECK(!need_delta_ || made.has_delta);
-  UpdateTopologyChurn(made.has_delta);
+  SDN_CHECK(!need_delta_ || has_delta);
+  UpdateTopologyChurn(has_delta);
   const graph::Graph& g = topo_.View();
   if (options_.record_trace != nullptr) {
     options_.record_trace->Push(g, delta_);
@@ -227,9 +211,8 @@ const graph::Graph& RoundDriver::BeginRound() {
       static_cast<std::size_t>(delta_.size()) * sizeof(graph::Edge)));
   // The companion gauges: the DynGraph's maintenance scratch and the
   // adversary's generator buffers. Both are capacity-based pure functions
-  // of the call stream (sampled here, after the lane joined), so
-  // RunStats::memory stays bit-identical across thread counts and overlap
-  // toggles.
+  // of the call stream, so RunStats::memory stays bit-identical across
+  // thread counts and the async-certification toggle.
   mem_topology_scratch_->SetCurrent(topo_.ScratchBytes());
   mem_adversary_->SetCurrent(adversary_.BufferBytes());
   t_[1] = Clock::now();
@@ -255,17 +238,18 @@ void RoundDriver::Certify(const graph::Graph& g) {
     // Certification lane: ship this round's claim as owned copies and let
     // the checker consume it off the critical path. The bounded queue
     // backpressures Submit, so the lane lags at most kCertQueueDepth
-    // rounds; Snapshot() is the rendezvous that drains it before any
-    // verdict (or checker error) is read. Fail-fast, the only consumer of
-    // a per-round verdict, pins the synchronous path. Each task publishes
-    // its round's CertSample for the sinks.
+    // rounds; the run's last EndRound and Snapshot() are the rendezvous
+    // that drain it before any verdict (or checker error) is read.
+    // Fail-fast, the only consumer of a per-round verdict, pins the
+    // synchronous path. Each task publishes its round's CertSample for the
+    // sinks.
     if (comp != nullptr) {
       // The claim's core/support spans ride on their shared owners (the
       // span-lifetime contract — no spine copy); only the volatile fresh
       // span and the round's edge list need owned copies. Vector moves
       // keep the heap buffer, so spans fixed up at execution time survive
       // the closure's moves through the queue.
-      cert_lane_.Submit(util::UniqueTask(
+      SubmitCert(util::UniqueTask(
           [this, r = round_, jc = *comp,
            fresh = std::vector<graph::Edge>(comp->fresh.begin(),
                                             comp->fresh.end()),
@@ -279,7 +263,7 @@ void RoundDriver::Certify(const graph::Graph& g) {
             PublishCertSample(r);
           }));
     } else {
-      cert_lane_.Submit(util::UniqueTask([this, r = round_, d = delta_]() {
+      SubmitCert(util::UniqueTask([this, r = round_, d = delta_]() {
         const auto c0 = Clock::now();
         (void)checker_->PushDelta(d);
         cert_ns_ += NsSince(c0);
@@ -340,29 +324,6 @@ void RoundDriver::FailBandwidth() {
 
 void RoundDriver::BeginDeliver() {
   if (stats_.bandwidth_violation.has_value()) FailBandwidth();
-  // Overlap the next round's topology with the deliver phase: for an
-  // oblivious adversary the call reads no node state, so running it on the
-  // persistent auxiliary lane while OnReceive mutates the nodes is
-  // race-free and the produced call sequence is identical to the
-  // synchronous schedule. The lane reads topo_.View(), which is not touched
-  // again until the next BeginRound drains the lane, and writes only the
-  // DynGraph's edit buffer (disjoint from the view the deliver phase
-  // reads), the moved-out delta and the prefetch result slots. The sub-path
-  // choice is frozen at launch from this round's churn state — exactly what
-  // the synchronous schedule would pick, since churn was last updated in
-  // this round's topology section.
-  if (prefetch_enabled_ && round_ < options_.max_rounds) {
-    prefetched_round_ = round_ + 1;
-    prefetch_pending_ = true;
-    topo_lane_.Submit(util::UniqueTask(
-        [this, r = prefetched_round_, direct = WantDirectTopology(),
-         d = std::move(delta_)]() mutable {
-          const auto p0 = Clock::now();
-          prefetch_made_ = ProduceTopology(r, direct, d);
-          prefetch_delta_ = std::move(d);
-          prefetch_ns_ = NsSince(p0);
-        }));
-  }
   t_[5] = Clock::now();
   // Fault hook (SDN_FAULT_DELIVER_ROUND, read in Start, and
   // SDN_FAULT_DELIVER_SLEEP_MS, read here): stall the deliver window of one
@@ -387,6 +348,12 @@ void RoundDriver::EndRound(bool all_decided) {
   }
   t_[7] = Clock::now();
   AccumulateTimings();
+  // The run is over: join the certification lane now, after the final
+  // clock read, so Observe reads the last round's CertSample (a violation
+  // in the run's last rounds reaches the sinks too). Joined whether or not
+  // a sink is attached, so observation never moves where a checker error
+  // surfaces: it is rethrown from this, the final, Step().
+  if (finished_) cert_lane_.Drain();
 }
 
 void RoundDriver::Observe(std::int64_t delivered,
@@ -395,7 +362,8 @@ void RoundDriver::Observe(std::int64_t delivered,
   // never lands in any timing bucket — and RunStats (including timings) is
   // identical with the sinks on or off. Both sinks read the checker only
   // through its latest published CertSample, which under async
-  // certification may trail this round by up to the lane depth.
+  // certification may trail this round by up to the lane depth — except
+  // on the run's last round, whose EndRound joined the lane.
   CertSample cert;
   if (checker_ != nullptr && (rec_ != nullptr || anomaly_ != nullptr)) {
     cert = LatestCertSample();
@@ -540,42 +508,22 @@ void RoundDriver::ChargeEngine(std::int64_t outbox_bytes,
   mem_programs_->SetCurrent(programs_bytes);
 }
 
-/// Joins the topology lane; with the anomaly plane on, the wait is clocked
-/// into this round's aux-stall signal (two extra steady_clock reads inside
-/// the topology window — wall-clock observation only, no deterministic
-/// state touched).
-void RoundDriver::DrainTopoLane() {
+/// Hands one certification task to the lane. Submit blocks while the lane
+/// is kCertQueueDepth rounds behind; with the anomaly plane on, that
+/// backpressure wait is clocked into this round's aux-stall signal (two
+/// extra steady_clock reads inside the validate window — wall-clock
+/// observation only, no deterministic state touched).
+void RoundDriver::SubmitCert(util::UniqueTask task) {
   if (anomaly_ == nullptr) {
-    topo_lane_.Drain();
+    cert_lane_.Submit(std::move(task));
     return;
   }
   const auto w0 = Clock::now();
-  topo_lane_.Drain();
+  cert_lane_.Submit(std::move(task));
   aux_wait_ns_round_ += NsSince(w0);
 }
 
-/// The one adversary call for round `r` — on the driving thread or the
-/// prefetch lane: RoundEdgesInto into topo_'s edit buffer when `direct`
-/// (plus one DiffSorted into `delta` for delta consumers), DeltaFor into
-/// `delta` otherwise or when the adversary declines.
-RoundDriver::RoundTopology RoundDriver::ProduceTopology(
-    std::int64_t r, bool direct, graph::TopologyDelta& delta) {
-  RoundTopology out{.tried_direct = direct};
-  if (direct) {
-    out.assigned = adversary_.RoundEdgesInto(r, view_, topo_.EditBuffer());
-    if (out.assigned && need_delta_) {
-      graph::DiffSorted(topo_.View().Edges(), topo_.EditBuffer(), delta);
-      out.has_delta = true;
-    }
-  }
-  if (!out.assigned) {
-    adversary_.DeltaFor(r, view_, topo_.View(), delta);
-    out.has_delta = true;
-  }
-  return out;
-}
-
-/// Topology sub-path for the next round. Without delta consumers the
+/// Topology sub-path for this round. Without delta consumers the
 /// direct RoundEdgesInto path is strictly cheaper (no diff runs anywhere);
 /// with consumers the churn hysteresis state decides. An adversary without
 /// a native RoundEdgesInto permanently pins the delta path the first time
@@ -608,7 +556,7 @@ void RoundDriver::UpdateTopologyChurn(bool has_delta) {
 /// Named windows: topology t0..t1, validate t1..t2, probe t2..t3, send
 /// t3..t4 (the ForShards barrier only), deliver t5..t6 (ditto); t7 is the
 /// final clock read. other_ns is the residual — everything between the
-/// named windows (shard merges, stats bookkeeping, prefetch launches) —
+/// named windows (shard merges, stats bookkeeping) —
 /// constructed as total minus the named phases so the partition identity
 /// topology+validate+probe+send+deliver+other == total holds exactly
 /// (debug-asserted below, pinned by test_bandwidth_metrics).

@@ -5,9 +5,9 @@
 // Everything else a round does is the same for every program and lives
 // here, compiled once:
 //
-//   * topology: the one live DynGraph, the churn-driven choice between the
-//     adversary's direct round list and its delta, and the prefetch lane
-//     that builds round r+1's topology while round r delivers;
+//   * topology: the one live DynGraph, built once per round on the driving
+//     thread, and the churn-driven choice between the adversary's direct
+//     round list and its delta;
 //   * certification: the composition-vs-general checker choice (with its
 //     RunStats::checker_path reason; a function of the adversary alone),
 //     the async certification lane, fail-fast and the round-tagged
@@ -19,7 +19,7 @@
 // The engine drives one round as BeginRound (topology, validate, probes),
 // its send phase, EndSend, BeginDeliver, its deliver phase, EndDeliver and
 // EndRound; Observe then feeds the sinks after the round's final clock
-// read. docs/PERF.md ("Pipelining") describes the lanes.
+// read. docs/PERF.md ("Pipelining") describes the certification lane.
 #pragma once
 
 #include <array>
@@ -78,24 +78,18 @@ struct EngineOptions {
   /// RunStats::timings, which measure wall clock, differ), so this is a
   /// pure throughput knob. Small n runs serial regardless (sharding floor).
   int threads = 0;
-  /// Overlap the next round's topology construction with this round's
-  /// deliver phase on a persistent auxiliary lane. Engages only when the
-  /// adversary is oblivious, threads > 1 and n clears the sharding floor;
-  /// the adversary still sees strictly sequential in-order calls, so
-  /// RunStats is bit-identical on or off — off is a pure A/B knob for the
-  /// pipeline benchmarks.
-  bool prefetch_topology = true;
   /// Run the streaming T-interval checker on a bounded auxiliary
   /// certification lane instead of the round's critical path. The lane
   /// consumes owned copies (delta, or composition claim + round edges), so
-  /// the topology may mutate freely; stats() is the deterministic
-  /// rendezvous — it drains the lane before reading any verdict, and a
-  /// checker error (e.g. a lying composition) surfaces there instead of
-  /// mid-Step. Engages only when threads > 1 and without
-  /// fail_fast_on_tinterval (fail-fast keeps the synchronous checker so the
-  /// abort round matches the serial engine exactly); a flight recorder or
-  /// the anomaly plane reads the CertSample each lane task publishes.
-  /// RunStats is bit-identical on or off.
+  /// the topology may mutate freely. The lane is drained when the run
+  /// finishes (after the last round's final clock read, before its sinks
+  /// run) and by stats() before any verdict is read, so a checker error
+  /// (e.g. a lying composition) surfaces from the final Step(), or from a
+  /// mid-run stats(), instead of mid-round. Engages only when threads > 1
+  /// and without fail_fast_on_tinterval (fail-fast keeps the synchronous
+  /// checker so the abort round matches the serial engine exactly); a
+  /// flight recorder or the anomaly plane reads the CertSample each lane
+  /// task publishes. RunStats is bit-identical on or off.
   bool async_certification = true;
   /// When set, every round's topology is streamed into this delta-encoded
   /// v2 trace writer (net/trace.hpp) — recording without retaining the
@@ -160,12 +154,14 @@ class RoundDriver {
   /// Closes the send window.
   void EndSend() { t_[4] = Clock::now(); }
   /// Fails the run with CheckError if the engine's send merge recorded a
-  /// RunStats::bandwidth_violation; otherwise launches the topology
-  /// prefetch and opens the deliver window.
+  /// RunStats::bandwidth_violation; otherwise opens the deliver window.
   void BeginDeliver();
   /// Closes the deliver window.
   void EndDeliver() { t_[6] = Clock::now(); }
   /// Books the round: rounds, run end, timing partition (final clock read).
+  /// When the run ends here, joins the certification lane after that read
+  /// (rethrowing any checker error), so Observe sees the last round's
+  /// CertSample.
   void EndRound(bool all_decided);
   /// Feeds the recorder, registry and anomaly plane after the final clock
   /// read. `phase` is the program's phase sample (label and index of node
@@ -175,7 +171,8 @@ class RoundDriver {
                const std::optional<ProgramPhase>& phase);
 
   /// The non-program half of Engine::stats(); drains the certification
-  /// lane first. `algo_work` is mirrored into the registry when present.
+  /// lane first (the rendezvous for a mid-run snapshot). `algo_work` is
+  /// mirrored into the registry when present.
   [[nodiscard]] RunStats Snapshot(std::optional<std::int64_t> algo_work) const;
 
   /// Runs fn(shard, begin, end) over all shards — on the pool when parallel,
@@ -214,15 +211,6 @@ class RoundDriver {
  private:
   using Clock = std::chrono::steady_clock;
 
-  /// What one round's topology call produced: the round list already sits
-  /// in topo_'s edit buffer (assigned) and/or the delta buffer holds the
-  /// round's delta (always when delta consumers exist).
-  struct RoundTopology {
-    bool tried_direct = false;
-    bool assigned = false;
-    bool has_delta = false;
-  };
-
   /// The checker's state after one certification step, published by that
   /// step (synchronous, or on the cert lane) and read by the sinks in
   /// Observe. round 0 = no step has published yet.
@@ -234,12 +222,10 @@ class RoundDriver {
     std::int64_t stable_edge_count = -1;  // -1 on the composition path
   };
 
-  void DrainTopoLane();
-  RoundTopology ProduceTopology(std::int64_t r, bool direct,
-                                graph::TopologyDelta& delta);
   [[nodiscard]] bool WantDirectTopology() const;
   void UpdateTopologyChurn(bool has_delta);
   void Certify(const graph::Graph& g);
+  void SubmitCert(util::UniqueTask task);
   void PublishCertSample(std::int64_t r);
   [[nodiscard]] CertSample LatestCertSample() const;
   void AccumulateTimings();
@@ -287,22 +273,14 @@ class RoundDriver {
   std::int64_t topo_direct_rounds_ = 0;
   std::int64_t topo_delta_rounds_ = 0;
 
-  // Parallel geometry and overlap gates (Start).
+  // Parallel geometry and the certification-lane gate (Start).
   util::ThreadPool* pool_ = nullptr;
   int lanes_ = 1;
   std::int64_t shards_ = 1;
-  bool prefetch_enabled_ = false;
   bool async_cert_ = false;
 
-  // Topology-prefetch result slots (written by the topology lane, read
-  // after the drain at the top of the next round). prefetch_ns_/cert_ns_
-  // are lane-side wall clocks surfaced as EngineTimings::aux_*_ns at the
-  // rendezvous points.
-  std::int64_t prefetched_round_ = -1;
-  RoundTopology prefetch_made_;
-  graph::TopologyDelta prefetch_delta_;
-  bool prefetch_pending_ = false;
-  std::int64_t prefetch_ns_ = 0;
+  /// Lane-side certification wall clock, surfaced as
+  /// EngineTimings::aux_validate_ns at the Snapshot rendezvous.
   std::int64_t cert_ns_ = 0;
   /// Latest CertSample; written by the certification step's thread.
   mutable std::mutex cert_mu_;
@@ -332,7 +310,7 @@ class RoundDriver {
   obs::Histogram* hist_round_total_ns_ = nullptr;
   /// Anomaly plane (EngineOptions::anomaly, behind the registry gate).
   std::unique_ptr<obs::AnomalyEngine> anomaly_;
-  /// This round's auxiliary-lane drain wait (anomaly signal).
+  /// This round's wait on certification-lane backpressure (anomaly signal).
   std::int64_t aux_wait_ns_round_ = 0;
   /// Fault hook: the round whose deliver window SDN_FAULT_DELIVER_SLEEP_MS
   /// stalls (SDN_FAULT_DELIVER_ROUND, read in Start).
@@ -345,11 +323,10 @@ class RoundDriver {
   std::int64_t obs_cert_ = -1;          // last emitted certified-T
   std::int64_t obs_hw_bits_ = 0;  // last emitted bandwidth high water
 
-  // Auxiliary pipelining lanes — declared last so their destructors (which
-  // join any in-flight task) run before the members those tasks touch
-  // (topo_, checker_, the prefetch slots) are destroyed. cert_lane_ is
-  // mutable because const Snapshot() is its deterministic rendezvous.
-  util::AuxLane topo_lane_;
+  // The certification lane — declared last so its destructor (which joins
+  // any in-flight task) runs before the members its tasks touch (checker_,
+  // the CertSample) are destroyed. Mutable because const Snapshot() is a
+  // rendezvous.
   mutable util::AuxLane cert_lane_;
 };
 

@@ -11,7 +11,7 @@
 //   ----------------------|--------------------------|--------------------------
 //   kRoundTimeSpike       | rolling p99 of total_ns  | round > factor x p99 (and
 //                         |                          | above an absolute floor)
-//   kAuxLaneStall         | aux-lane Drain wait      | wait > aux_stall_ns
+//   kAuxLaneStall         | cert-lane Submit wait    | wait > aux_stall_ns
 //   kMemoryJump           | per-gauge running peak   | level > peak + factor x
 //                         |                          | peak (and above a byte
 //                         |                          | floor), after warm-up
@@ -83,8 +83,8 @@ struct AnomalyOptions {
   /// ... and > this absolute floor, so microsecond-scale jitter in fast
   /// runs never pages anyone (1 ms default).
   std::int64_t spike_floor_ns = 1'000'000;
-  /// kAuxLaneStall: a lane Drain wait above this fires (250 ms default —
-  /// a healthy prefetch join is microseconds).
+  /// kAuxLaneStall: a certification-lane backpressure wait above this
+  /// fires (250 ms default — a healthy handoff is microseconds).
   std::int64_t aux_stall_ns = 250'000'000;
   /// kMemoryJump: gauge level exceeds its running peak by more than
   /// memory_jump_factor x that peak ...
@@ -111,10 +111,12 @@ struct RoundSignals {
   std::int64_t send_ns = 0;
   std::int64_t deliver_ns = 0;
   std::int64_t total_ns = 0;
-  /// Wait spent joining the auxiliary topology lane this round (0 when the
-  /// prefetch overlap is off or the lane was already done).
+  /// Wait spent handing this round's claim to the certification lane: its
+  /// Submit blocks while the lane trails by its full queue depth (0 when
+  /// certification runs synchronously).
   std::int64_t aux_wait_ns = 0;
-  /// Checker state, when readable this round (synchronous checker only);
+  /// Checker state from the latest published certification sample (under
+  /// async certification it may trail this round by the lane depth);
   /// -1 = not sampled — the rule skips, it never treats it as a drop.
   std::int64_t certified_T = -1;
   std::int64_t first_bad_window = -1;

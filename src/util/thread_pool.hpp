@@ -66,10 +66,10 @@ class UniqueTask {
 };
 
 /// A persistent auxiliary lane: one dedicated thread draining a bounded
-/// FIFO of tasks. This is the engine's overlap primitive — the topology
-/// prefetch and the asynchronous certification queue each own one lane and
-/// feed it one task per round, so overlap costs a queue handoff instead of
-/// the thread launch per round that std::async paid.
+/// FIFO of tasks. This is the engine's overlap primitive — the asynchronous
+/// certification queue owns one lane and feeds it one task per round, so
+/// overlap costs a queue handoff instead of the thread launch per round
+/// that std::async paid.
 ///
 /// Semantics:
 ///   - Submit() enqueues; it blocks while `capacity` tasks are already

@@ -410,7 +410,7 @@ class EngineView final : public net::AdversaryView {
 /// every factory kind. Validation on drives the DeltaFor/Apply sub-path
 /// (the checker consumes deltas) unless the kind publishes compositions;
 /// validation off takes the RoundEdgesInto direct path. threads=2 at
-/// n >= 128 adds the topology prefetch lane for oblivious kinds.
+/// n >= 128 runs the sharded phases (and sharded generators) on the pool.
 TEST(EngineTopology, EveryStepMatchesFromScratchOracle) {
   for (const std::string& kind : adversary::KnownAdversaryKinds()) {
     for (const bool validate : {true, false}) {

@@ -3,19 +3,17 @@
 //
 // EngineOptions::threads is documented as a pure throughput knob: every
 // statistic except the wall-clock timings must be bit-identical whether the
-// send/deliver phases ran serially, on two lanes, or on every hardware lane
-// (with topology prefetch on oblivious adversaries). These tests pin that
-// contract for representative algorithms on an oblivious adversary
-// (spine-gnp, prefetch exercised) and an adaptive one (adaptive-desc,
-// prefetch disabled, parallel phases still on). n = 192 gives 3 shards, so
-// threads > 1 genuinely takes the pool path.
+// send/deliver phases ran serially, on two lanes, or on every hardware lane.
+// These tests pin that contract for representative algorithms on an
+// oblivious adversary (spine-gnp, whose sharded spine generation also runs
+// on the pool) and an adaptive one (adaptive-desc). n = 192 gives 3 shards,
+// so threads > 1 genuinely takes the pool path.
 //
-// The pipelining overlaps (prefetch_topology, async_certification) carry
-// the same contract: each is a pure scheduling change, so the overlap
-// matrix below runs every toggle individually and both together, across
-// thread counts, with a flight recorder attached and not, and across
-// oblivious / adaptive / streaming-trace adversaries, against an
-// all-overlaps-off serial reference.
+// The one pipelining overlap, async_certification, carries the same
+// contract: it is a pure scheduling change, so the overlap matrix below
+// runs it off and on, across thread counts, with a flight recorder
+// attached and not, and across oblivious / adaptive / streaming-trace
+// adversaries, against an async-off serial reference.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -100,11 +98,10 @@ void CheckThreadInvariance(Algorithm algorithm, const std::string& adversary,
   }
 }
 
-// One overlap-matrix sweep: an all-overlaps-off serial run is the
-// reference; each pipelining toggle alone, and both together, must
-// reproduce it bit-for-bit at threads 1, 2 and hardware, with and without
-// a flight recorder attached (observation picks neither the checker nor
-// the certification schedule). Certification is ON here (unlike the
+// One overlap-matrix sweep: an async-off serial run is the reference;
+// async certification off and on must reproduce it bit-for-bit at threads
+// 1, 2 and hardware, with and without a flight recorder attached
+// (observation picks neither the checker nor the certification schedule). Certification is ON here (unlike the
 // thread-invariance tests above) so the async-certification lane is
 // genuinely exercised and its verdict fields are compared against the
 // synchronous checker's.
@@ -119,28 +116,22 @@ void CheckOverlapInvariance(Algorithm algorithm, const std::string& adversary,
   config.validate_tinterval = true;
 
   config.threads = 1;
-  config.prefetch_topology = false;
   config.async_certification = false;
   const RunResult reference = RunAlgorithm(algorithm, config);
   EXPECT_TRUE(reference.stats.tinterval_validated);
   EXPECT_TRUE(reference.stats.tinterval_ok);
 
-  // {prefetch_topology, async_certification}.
-  constexpr bool kRows[4][2] = {
-      {false, false}, {true, false}, {false, true}, {true, true}};
-  for (const auto& row : kRows) {
+  for (const bool async_cert : {false, true}) {
     for (const int threads : {1, 2, 0}) {
       for (const bool recorded : {false, true}) {
-        // The all-off serial unrecorded run is the reference itself.
-        if (!row[0] && !row[1] && threads == 1 && !recorded) continue;
+        // The async-off serial unrecorded run is the reference itself.
+        if (!async_cert && threads == 1 && !recorded) continue;
         obs::FlightRecorder recorder;
-        config.prefetch_topology = row[0];
-        config.async_certification = row[1];
+        config.async_certification = async_cert;
         config.threads = threads;
         config.recorder = recorded ? &recorder : nullptr;
         SCOPED_TRACE(std::string(ToString(algorithm)) + " on " + adversary +
-                     " prefetch=" + std::to_string(row[0]) +
-                     " async_cert=" + std::to_string(row[1]) +
+                     " async_cert=" + std::to_string(async_cert) +
                      " threads=" + std::to_string(threads) +
                      " recorder=" + std::to_string(recorded));
         const RunResult run = RunAlgorithm(algorithm, config);
@@ -192,16 +183,14 @@ TEST(Determinism, KloCommitteeOnAdaptiveAdversary) {
 
 // Overlap matrix, oblivious arm: spine-gnp claims compositions, so the
 // async-certification rows here push composition claims (+ owned edge
-// copies) through the certification lane, and prefetch engages at
-// threads > 1.
+// copies) through the certification lane.
 TEST(Determinism, OverlapTogglesOnObliviousSpine) {
   CheckOverlapInvariance(Algorithm::kHjswyCensus, "spine-gnp", 100'000);
 }
 
-// Overlap matrix, adaptive arm: prefetch is gated off by the engine (the
-// adversary samples PublicState between rounds), so these rows pin that
-// the toggle is a safe no-op there while the async checker still consumes
-// per-round deltas off the critical path.
+// Overlap matrix, adaptive arm: the adversary samples PublicState between
+// rounds and publishes no composition, so the async checker consumes
+// owned copies of per-round deltas off the critical path.
 TEST(Determinism, OverlapTogglesOnAdaptiveAdversary) {
   CheckOverlapInvariance(Algorithm::kKloCensusT, "adaptive-desc", 3'000);
 }
@@ -209,9 +198,8 @@ TEST(Determinism, OverlapTogglesOnAdaptiveAdversary) {
 // Overlap matrix, streaming arm: record a spine trace to disk, then replay
 // it through StreamingTraceAdversary — delta-native, strictly sequential
 // DeltaFor, not registered in the factory, so this row runs the engine
-// directly. The single-slot prefetch lane must preserve the reader's
-// in-order contract, and the async checker must certify from the owned
-// delta copies while the trace reader's buffers are reused underneath it.
+// directly. The async checker must certify from the owned delta copies
+// while the trace reader's buffers are reused underneath it.
 TEST(Determinism, OverlapTogglesOnStreamingTrace) {
   const graph::NodeId n = 192;
   const std::int64_t recorded_rounds = 48;
@@ -246,7 +234,7 @@ TEST(Determinism, OverlapTogglesOnStreamingTrace) {
     recorder.Close();
   }
 
-  const auto run_streamed = [&path](bool overlaps, int threads) {
+  const auto run_streamed = [&path](bool async_cert, int threads) {
     adversary::StreamingTraceAdversary streaming(path);
     algo::HjswyOptions options;
     options.T = streaming.interval();
@@ -264,22 +252,21 @@ TEST(Determinism, OverlapTogglesOnStreamingTrace) {
     opts.flood_probes = 0;
     opts.threads = threads;
     opts.max_rounds = 40;  // stays inside the recorded trace
-    opts.prefetch_topology = overlaps;
-    opts.async_certification = overlaps;
+    opts.async_certification = async_cert;
     net::Engine<algo::HjswyProgram> engine(std::move(nodes), streaming, opts);
     return engine.Run();
   };
 
-  const net::RunStats reference = run_streamed(/*overlaps=*/false,
+  const net::RunStats reference = run_streamed(/*async_cert=*/false,
                                                /*threads=*/1);
   EXPECT_TRUE(reference.tinterval_validated);
   EXPECT_TRUE(reference.tinterval_ok);
-  for (const bool overlaps : {false, true}) {
+  for (const bool async_cert : {false, true}) {
     for (const int threads : {1, 2, 0}) {
-      if (!overlaps && threads == 1) continue;  // that is the reference
-      SCOPED_TRACE("overlaps=" + std::to_string(overlaps) +
+      if (!async_cert && threads == 1) continue;  // that is the reference
+      SCOPED_TRACE("async_cert=" + std::to_string(async_cert) +
                    " threads=" + std::to_string(threads));
-      const net::RunStats run = run_streamed(overlaps, threads);
+      const net::RunStats run = run_streamed(async_cert, threads);
       EXPECT_EQ(reference.rounds, run.rounds);
       EXPECT_EQ(reference.decide_round, run.decide_round);
       EXPECT_EQ(reference.messages_sent, run.messages_sent);

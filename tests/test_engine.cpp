@@ -1057,5 +1057,132 @@ TEST(Engine, CertRegressionFiresUnderAsyncCertification) {
   EXPECT_TRUE(fired);
 }
 
+/// Promises T=2 on kLateBreakN nodes and keeps it until round `last`.
+/// Rounds before last-1 are the complete graph, round last-1 is the path
+/// 0-1-...-(n-1), and round `last` is the star from node 0 over nodes
+/// 2..n-1 plus the edge {1,3}: connected, and disjoint from the path, so
+/// the only window with a disconnected intersection is the one ending at
+/// `last`. Round last-1's delta removes ~n^2/2 edges, so its certification
+/// step is long while the rounds after it are cheap: an asynchronous
+/// checker is still working on it when the run's last round ends.
+constexpr graph::NodeId kLateBreakN = 1448;
+class LateBreakAdversary final : public Adversary {
+ public:
+  explicit LateBreakAdversary(std::int64_t last) : last_(last) {}
+  [[nodiscard]] graph::NodeId num_nodes() const override {
+    return kLateBreakN;
+  }
+  [[nodiscard]] int interval() const override { return 2; }
+  graph::Graph TopologyFor(std::int64_t round, const AdversaryView&) override {
+    return graph::Graph(kLateBreakN, Edges(round));
+  }
+  void DeltaFor(std::int64_t round, const AdversaryView&, const graph::Graph&,
+                graph::TopologyDelta& out) override {
+    if (round > 1 && round < last_ - 1) {
+      out.clear();  // the complete graph again
+      return;
+    }
+    graph::DiffSorted(Edges(round - 1), Edges(round), out);
+  }
+  [[nodiscard]] std::string name() const override { return "late-break"; }
+
+ private:
+  /// Round `round`'s sorted edge list; round 0 is the empty graph.
+  [[nodiscard]] std::vector<graph::Edge> Edges(std::int64_t round) const {
+    std::vector<graph::Edge> edges;
+    if (round >= last_) {
+      for (graph::NodeId v = 2; v < kLateBreakN; ++v) edges.emplace_back(0, v);
+      edges.emplace_back(1, 3);
+    } else if (round == last_ - 1) {
+      for (graph::NodeId u = 0; u + 1 < kLateBreakN; ++u) {
+        edges.emplace_back(u, u + 1);
+      }
+    } else if (round >= 1) {
+      for (graph::NodeId u = 0; u < kLateBreakN; ++u) {
+        for (graph::NodeId v = u + 1; v < kLateBreakN; ++v) {
+          edges.emplace_back(u, v);
+        }
+      }
+    }
+    return edges;
+  }
+
+  std::int64_t last_;
+};
+
+TEST(Engine, LastRoundCertificationReachesTheSinks) {
+  // Under async certification the sinks read a CertSample that may trail
+  // the round loop by the lane's depth. When the run ends, EndRound joins
+  // the lane before the last Observe, so a violation in the run's very
+  // last window reaches the recorder's checker track and the anomaly
+  // plane, not only RunStats.
+  constexpr std::int64_t kRounds = 8;
+  LateBreakAdversary adv(kRounds);
+  std::vector<InboxCounter> nodes(kLateBreakN, InboxCounter(1000));
+  obs::FlightRecorder rec;
+  EngineOptions opts;
+  opts.max_rounds = kRounds;
+  opts.flood_probes = 0;
+  opts.threads = 2;
+  opts.async_certification = true;
+  opts.collect_metrics = true;
+  opts.anomaly = true;
+  opts.anomaly_options.max_dumps = 0;
+  opts.recorder = &rec;
+  Engine<InboxCounter> engine(std::move(nodes), adv, opts);
+  const RunStats stats = engine.Run();
+  EXPECT_GT(stats.timings.aux_validate_ns, 0);  // the lane certified
+  EXPECT_TRUE(stats.hit_max_rounds);
+  EXPECT_FALSE(stats.tinterval_ok);
+  EXPECT_EQ(stats.tinterval_first_bad_window, kRounds - 2);
+  const bool fired = std::any_of(
+      stats.anomalies.begin(), stats.anomalies.end(),
+      [](const obs::AnomalyRecord& r) {
+        return r.rule == obs::AnomalyRule::kCertRegression;
+      });
+  EXPECT_TRUE(fired);
+  std::int64_t last_window_round = -1;
+  for (const obs::Event& e : rec.Drain()) {
+    if (e.kind == obs::EventKind::kCheckerWindow) last_window_round = e.round;
+  }
+  EXPECT_EQ(last_window_round, kRounds);
+}
+
+TEST(Engine, CertLaneBackpressureFeedsTheStallRule) {
+  // The anomaly plane's aux-lane stall signal is the certification lane's
+  // Submit wait. At a zero threshold every clocked handoff fires, so the
+  // rule fires exactly when the lane exists: at threads = 2 (async
+  // certification on), never at threads = 1 (no lane).
+  adversary::AdversaryConfig config;
+  config.kind = "spine-gnp";
+  config.n = 192;
+  config.T = 2;
+  config.seed = 5;
+  const auto run = [&](int threads) {
+    const auto adv = adversary::MakeAdversary(config);
+    std::vector<InboxCounter> nodes(192, InboxCounter(30));
+    EngineOptions opts;
+    opts.threads = threads;
+    opts.collect_metrics = true;
+    opts.anomaly = true;
+    opts.anomaly_options.aux_stall_ns = 0;
+    Engine<InboxCounter> engine(std::move(nodes), *adv, opts);
+    return engine.Run();
+  };
+  const auto stalls = [](const RunStats& s) {
+    return std::count_if(s.anomalies.begin(), s.anomalies.end(),
+                         [](const obs::AnomalyRecord& r) {
+                           return r.rule == obs::AnomalyRule::kAuxLaneStall;
+                         });
+  };
+  const RunStats lane = run(2);
+  EXPECT_GT(lane.timings.aux_validate_ns, 0);  // the lane certified
+  EXPECT_GE(stalls(lane), 1);
+  const obs::MetricSample* p99 = lane.metrics.Find("rolling_aux_wait_ns_p99");
+  ASSERT_NE(p99, nullptr);
+  EXPECT_GT(p99->value, 0);
+  EXPECT_EQ(stalls(run(1)), 0);
+}
+
 }  // namespace
 }  // namespace sdn::net

@@ -166,7 +166,8 @@ void CheckInboxOracle(const std::string& adversary, int threads) {
   EXPECT_LT(all_sent_rounds, rounds);
 }
 
-// Oblivious: topology prefetch engages at threads != 1.
+// Oblivious: spine-gnp's sharded generation runs on the pool at
+// threads != 1.
 TEST(InboxOracle, ObliviousSpineEveryThreadCount) {
   for (const int threads : {1, 2, 0}) CheckInboxOracle("spine-gnp", threads);
 }

@@ -14,7 +14,7 @@
 //
 // Engine<A> holds only what depends on the program type: the nodes, the
 // outbox, the send/deliver shard loops and the decision books. Everything
-// else — topology, certification, probes, the aux lanes, memory gauges,
+// else — topology, certification and its lane, probes, memory gauges,
 // timings and the observability sinks — is the non-template
 // net::RoundDriver (net/round_driver.hpp), compiled once. Messages are plain
 // typed values (no serialization on the hot path), delivered zero-copy from
@@ -74,7 +74,7 @@ class Engine final : private AdversaryView {
     // The outbox lives in the arena, which never runs element destructors;
     // message types with non-trivial state (e.g. a census shared_ptr) are
     // destroyed here, before the arena member releases its chunks. The
-    // driver's lanes never touch the outbox.
+    // driver's certification lane never touches the outbox.
     if constexpr (!std::is_trivially_destructible_v<Message>) {
       for (Message& m : outbox_) std::destroy_at(&m);
     }
